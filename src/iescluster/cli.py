@@ -13,12 +13,18 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .dataset import Dataset, load_dataset, save_dataset
-from .errors import ClusteringError, InvalidParameterError, exit_code_for
+from .errors import (
+    EXIT_DATA,
+    EXIT_NUMERIC,
+    ClusteringError,
+    InvalidParameterError,
+    exit_code_for,
+)
 from .ies import (
     ClusteringOutcome,
     IesConfig,
@@ -40,6 +46,14 @@ MODES = CLUSTER_MODES + ("elbow",)
 # local-scale modes re-estimate per node and reject an override.
 _SIGMA_OVERRIDE_MODES = ("njw", "legacy-eigengap", "elbow")
 
+# RunConfig fields that are passed through to IesConfig.
+_SHARED_KNOBS = (
+    "variance_threshold", "knn_k", "search_fraction", "min_node_size",
+    "depth_cap", "distance_exponent",
+)
+# The report's "params" block.
+_PARAMS = ("sigma_override", "k_override") + _SHARED_KNOBS + ("master_seed", "n_workers")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -48,12 +62,12 @@ class RunConfig:
     mode: str
     sigma_override: float | None = None
     k_override: int | None = None
-    variance_threshold: float = 0.95
-    knn_k: int = 7
-    search_fraction: float = 0.5
-    min_node_size: int = 5
-    depth_cap: int = 32
-    distance_exponent: int = 2
+    variance_threshold: float = IesConfig.variance_threshold
+    knn_k: int = IesConfig.knn_k
+    search_fraction: float = IesConfig.search_fraction
+    min_node_size: int = IesConfig.min_node_size
+    depth_cap: int = IesConfig.depth_cap
+    distance_exponent: int = IesConfig.distance_exponent
     master_seed: int = 0
     elbow_space: str = "embedding"
     elbow_k_min: int | None = None
@@ -81,14 +95,7 @@ class RunConfig:
         self.ies_config()  # range-checks the shared knobs
 
     def ies_config(self) -> IesConfig:
-        return IesConfig(
-            variance_threshold=self.variance_threshold,
-            knn_k=self.knn_k,
-            search_fraction=self.search_fraction,
-            min_node_size=self.min_node_size,
-            depth_cap=self.depth_cap,
-            distance_exponent=self.distance_exponent,
-        )
+        return IesConfig(**{name: getattr(self, name) for name in _SHARED_KNOBS})
 
 
 def _sigma_override_estimate(config: RunConfig):
@@ -175,18 +182,7 @@ def _metrics_json(assignments, labels, n_clusters: int) -> dict:
 
 
 def _params_json(config: RunConfig) -> dict:
-    return {
-        "sigma_override": config.sigma_override,
-        "k_override": config.k_override,
-        "variance_threshold": config.variance_threshold,
-        "knn_k": config.knn_k,
-        "search_fraction": config.search_fraction,
-        "min_node_size": config.min_node_size,
-        "depth_cap": config.depth_cap,
-        "distance_exponent": config.distance_exponent,
-        "master_seed": config.master_seed,
-        "n_workers": config.n_workers,
-    }
+    return {name: getattr(config, name) for name in _PARAMS}
 
 
 def run(config: RunConfig, dataset: Dataset):
@@ -197,9 +193,8 @@ def run(config: RunConfig, dataset: Dataset):
     seed = config.master_seed
 
     if config.mode == "elbow":
-        if config.sigma_override is not None:
-            scaling = manual_global_sigma(config.sigma_override)
-        else:
+        scaling = _sigma_override_estimate(config)
+        if scaling is None:
             scaling = estimate_global_sigma(features, config.variance_threshold)
         return elbow_sweep(
             features,
@@ -246,43 +241,49 @@ def _add_io_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="input CSV path")
     p.add_argument("--label-col", default=None,
                    help="label column: 0-based index or header name")
-    p.add_argument("--has-header", action="store_true",
+    p.add_argument("--has-header", action="store_true", default=False,
                    help="treat the first CSV row as a header")
     p.add_argument("--output", required=True, help="output file path")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``cluster`` parser. Options of ``run`` and ``elbow`` store under
+    their RunConfig field names and set no default of their own, so absent
+    options fall back to RunConfig's defaults."""
     parser = argparse.ArgumentParser(
         prog="cluster",
         description="Automated spectral clustering via iterative eigengap search",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="cluster a dataset and write a JSON report")
+    p_run = sub.add_parser("run", help="cluster a dataset and write a JSON report",
+                           argument_default=argparse.SUPPRESS)
     _add_io_args(p_run)
     p_run.add_argument("--mode", required=True, choices=CLUSTER_MODES)
-    p_run.add_argument("--sigma", type=float, default=None,
+    p_run.add_argument("--sigma", type=float,
                        help="fixed sigma^2 (njw / legacy-eigengap only)")
-    p_run.add_argument("--k", type=int, default=None, help="cluster count (njw only)")
-    p_run.add_argument("--variance-threshold", type=float, default=0.95)
-    p_run.add_argument("--knn", type=int, default=7)
-    p_run.add_argument("--search-fraction", type=float, default=0.5)
-    p_run.add_argument("--min-node-size", type=int, default=5)
-    p_run.add_argument("--depth-cap", type=int, default=32)
-    p_run.add_argument("--distance-exponent", type=int, default=2, choices=(1, 2))
-    p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--workers", type=int, default=1,
-                       help="worker threads for sibling subtrees")
+    p_run.add_argument("--k", type=int, help="cluster count (njw only)")
+    p_run.add_argument("--variance-threshold", type=float)
+    p_run.add_argument("--knn", type=int, dest="knn_k")
+    p_run.add_argument("--search-fraction", type=float)
+    p_run.add_argument("--min-node-size", type=int)
+    p_run.add_argument("--depth-cap", type=int)
+    p_run.add_argument("--distance-exponent", type=int, choices=(1, 2))
+    p_run.add_argument("--seed", type=int, dest="master_seed")
+    p_run.add_argument("--workers", type=int, dest="n_workers",
+                       help="worker threads for the nodes of one tree level")
 
-    p_elbow = sub.add_parser("elbow", help="write a k,sse elbow curve as CSV")
+    p_elbow = sub.add_parser("elbow", help="write a k,sse elbow curve as CSV",
+                             argument_default=argparse.SUPPRESS)
     _add_io_args(p_elbow)
-    p_elbow.add_argument("--k-min", type=int, required=True)
-    p_elbow.add_argument("--k-max", type=int, required=True)
-    p_elbow.add_argument("--seed", type=int, default=0)
-    p_elbow.add_argument("--sigma", type=float, default=None)
-    p_elbow.add_argument("--variance-threshold", type=float, default=0.95)
-    p_elbow.add_argument("--distance-exponent", type=int, default=2, choices=(1, 2))
-    p_elbow.add_argument("--elbow-space", default="embedding", choices=("embedding", "raw"))
+    p_elbow.set_defaults(mode="elbow")
+    p_elbow.add_argument("--k-min", type=int, required=True, dest="elbow_k_min")
+    p_elbow.add_argument("--k-max", type=int, required=True, dest="elbow_k_max")
+    p_elbow.add_argument("--seed", type=int, dest="master_seed")
+    p_elbow.add_argument("--sigma", type=float)
+    p_elbow.add_argument("--variance-threshold", type=float)
+    p_elbow.add_argument("--distance-exponent", type=int, choices=(1, 2))
+    p_elbow.add_argument("--elbow-space", choices=("embedding", "raw"))
 
     p_synth = sub.add_parser("synth", help="generate a labeled synthetic CSV")
     p_synth.add_argument("--spec", required=True, help="JSON layout path")
@@ -291,20 +292,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsed names that differ from their RunConfig field: ``args.sigma`` and
+# ``args.k`` are part of the parser's interface.
+_RENAMED = {"sigma": "sigma_override", "k": "k_override"}
+
+
+def config_from_args(args: argparse.Namespace) -> RunConfig:
+    """RunConfig from a parsed ``run`` or ``elbow`` namespace."""
+    names = {f.name for f in fields(RunConfig)}
+    given = {_RENAMED.get(key, key): value for key, value in vars(args).items()}
+    return RunConfig(**{key: value for key, value in given.items() if key in names})
+
+
 def _cmd_run(args) -> int:
-    config = RunConfig(
-        mode=args.mode,
-        sigma_override=args.sigma,
-        k_override=args.k,
-        variance_threshold=args.variance_threshold,
-        knn_k=args.knn,
-        search_fraction=args.search_fraction,
-        min_node_size=args.min_node_size,
-        depth_cap=args.depth_cap,
-        distance_exponent=args.distance_exponent,
-        master_seed=args.seed,
-        n_workers=args.workers,
-    )
+    config = config_from_args(args)
     dataset = load_dataset(args.input, label_column=args.label_col, has_header=args.has_header)
     report = run(config, dataset)
     with open(args.output, "w") as fh:
@@ -314,16 +315,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_elbow(args) -> int:
-    config = RunConfig(
-        mode="elbow",
-        sigma_override=args.sigma,
-        variance_threshold=args.variance_threshold,
-        distance_exponent=args.distance_exponent,
-        master_seed=args.seed,
-        elbow_space=args.elbow_space,
-        elbow_k_min=args.k_min,
-        elbow_k_max=args.k_max,
-    )
+    config = config_from_args(args)
     dataset = load_dataset(args.input, label_column=args.label_col, has_header=args.has_header)
     curve = run(config, dataset)
     with open(args.output, "w", newline="") as fh:
@@ -352,7 +344,11 @@ def main(argv=None) -> int:
         return exit_code_for(err)
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
-        return 3
+        return EXIT_DATA
+    except MemoryError as err:
+        detail = f": {err}" if str(err) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -52,6 +52,4 @@ def exit_code_for(exc: Exception) -> int:
         return EXIT_CONFIG
     if isinstance(exc, _DATA_ERRORS):
         return EXIT_DATA
-    if isinstance(exc, ClusteringError):
-        return EXIT_NUMERIC
     return EXIT_NUMERIC

@@ -13,12 +13,12 @@ NJW run with a caller-supplied cluster count.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .affinity import normalized_laplacian
 from .eigengap import eigengap_k
 from .errors import (
     DegenerateDataError,
@@ -29,8 +29,8 @@ from .errors import (
     IsolatedPointsError,
 )
 from .kmeans import kmeans
-from .linalg import as_matrix, symmetric_eigen
-from .njw import build_affinity, row_normalize
+from .linalg import as_matrix
+from .njw import node_spectrum, row_normalize
 from .scaling import ScalingEstimate, estimate_global_sigma, estimate_local_sigmas
 
 LEAF_EIGENGAP_ONE = "eigengap-one"
@@ -156,9 +156,8 @@ def _split_spectrum(
     translates them back to root indices.
     """
     n = sub.shape[0]
-    a = build_affinity(sub, sigma, config.distance_exponent)
     try:
-        laplacian = normalized_laplacian(a)
+        eig = node_spectrum(sub, sigma, config.distance_exponent)
     except IsolatedPointsError as err:
         iso = np.asarray(err.indices, dtype=int)
         rest = np.setdiff1d(np.arange(n), iso)
@@ -173,7 +172,6 @@ def _split_spectrum(
             child_final_reasons=child_reasons,
         )
 
-    eig = symmetric_eigen(laplacian)
     if k_override is None:
         k = eigengap_k(eig.values, config.search_fraction).k
     else:
@@ -316,12 +314,13 @@ def ies_cluster(
     master_seed: int = 0,
     n_workers: int = 1,
 ) -> ClusteringOutcome:
-    """Depth-first divisive search; leaves are the final clusters.
+    """Level-by-level divisive search; leaves are the final clusters.
 
     ``mode`` selects per-node scaling: "global" (PCA-based) or "local"
-    (k-nearest-neighbor). With ``n_workers`` > 1, independent subtrees are
+    (k-nearest-neighbor). With ``n_workers`` > 1, the nodes of a level are
     processed concurrently; results are identical to the sequential run
-    because every node's seed derives from its path, not traversal order.
+    because every node's seed derives from its path and nodes are numbered
+    canonically afterwards, so traversal order cannot change the output.
     """
     if mode not in ("global", "local"):
         raise InvalidParameterError(f"mode must be 'global' or 'local', got {mode!r}")
@@ -329,36 +328,25 @@ def ies_cluster(
     x = _validated_data(data)
     n = x.shape[0]
 
+    def process(item: tuple[tuple, np.ndarray, int]) -> _NodeStep:
+        path, members, depth = item
+        return _process_node(
+            x, members, depth, mode, config, node_seed(master_seed, path)
+        )
+
     start = time.perf_counter()
     records: dict[tuple, _PathNode] = {}
-    root = ((), np.arange(n), 0)
-    if n_workers <= 1:
-        stack = [root]
-        while stack:
-            path, members, depth = stack.pop()
-            step = _process_node(
-                x, members, depth, mode, config, node_seed(master_seed, path)
-            )
-            for item in reversed(_record_step(records, path, members, depth, step)):
-                stack.append(item)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            pending = {}
-
-            def submit(path, members, depth):
-                fut = pool.submit(
-                    _process_node, x, members, depth, mode, config,
-                    node_seed(master_seed, path),
-                )
-                pending[fut] = (path, members, depth)
-
-            submit(*root)
-            while pending:
-                done, _ = wait(set(pending), return_when=FIRST_COMPLETED)
-                for fut in done:
-                    path, members, depth = pending.pop(fut)
-                    for item in _record_step(records, path, members, depth, fut.result()):
-                        submit(*item)
+    level = [((), np.arange(n), 0)]
+    # One worker maps on the calling thread: a one-thread pool would give the
+    # worker its own malloc arena and raise peak RSS for nothing.
+    with ThreadPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
+        map_level = map if pool is None else pool.map
+        while level:
+            level = [
+                child
+                for item, step in zip(level, map_level(process, level))
+                for child in _record_step(records, *item, step)
+            ]
 
     runtime_ms = (time.perf_counter() - start) * 1000.0
     label = "ies-global" if mode == "global" else "ies-local"

@@ -112,6 +112,10 @@ def pca(data) -> PcaResult:
     n = x.shape[0]
     if n < 2:
         raise InsufficientDataError(f"pca needs at least 2 rows, got {n}")
+    if np.all(x == x[0]):
+        # Rounding in the column means would leave constant data a tiny,
+        # scale-dependent variance instead of zero.
+        raise DegenerateDataError("data has zero total variance")
     cov = covariance(x)
     eig = symmetric_eigen(cov)
     axes = eig.vectors

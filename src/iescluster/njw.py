@@ -7,8 +7,8 @@ import numpy as np
 
 from .affinity import affinity_global, affinity_local, normalized_laplacian
 from .errors import DegenerateEmbeddingError, InvalidParameterError
-from .kmeans import KMeansResult, kmeans
-from .linalg import as_matrix, symmetric_eigen
+from .kmeans import kmeans
+from .linalg import EigenPairs, symmetric_eigen
 from .scaling import ScalingEstimate
 
 # Row norms this far below the largest row are treated as numerically zero.
@@ -36,22 +36,26 @@ def row_normalize(vectors: np.ndarray) -> np.ndarray:
     return vectors / norms[:, None]
 
 
-def spectral_embed(laplacian, k: int) -> np.ndarray:
-    """Top-k eigenvectors of the Laplacian with every row scaled to unit norm."""
-    l = as_matrix(laplacian)
-    n = l.shape[0]
+def node_spectrum(data, scaling: ScalingEstimate, distance_exponent: int = 2) -> EigenPairs:
+    """Affinity -> normalized Laplacian -> eigensolve for one set of points.
+
+    The one spectral chain behind the IES node step, NJW and the elbow
+    sweep. Isolated-point errors from the Laplacian propagate to the caller.
+    """
+    a = build_affinity(data, scaling, distance_exponent)
+    return symmetric_eigen(normalized_laplacian(a))
+
+
+def _top_k_rows(eig: EigenPairs, k: int) -> np.ndarray:
+    n = eig.values.shape[0]
     if not 1 <= k <= n:
         raise InvalidParameterError(f"k={k} out of range [1, {n}]")
-    eig = symmetric_eigen(l)
     return row_normalize(eig.vectors[:, :k])
 
 
-def cluster_embedding(
-    laplacian, k: int, seed: int, max_iter: int = 300, tol: float = 1e-8
-) -> KMeansResult:
-    """Embed a prebuilt Laplacian and k-means the rows."""
-    y = spectral_embed(laplacian, k)
-    return kmeans(y, k, seed, max_iter=max_iter, tol=tol)
+def spectral_embed(laplacian, k: int) -> np.ndarray:
+    """Top-k eigenvectors of the Laplacian with every row scaled to unit norm."""
+    return _top_k_rows(symmetric_eigen(laplacian), k)
 
 
 def njw_cluster(
@@ -67,6 +71,5 @@ def njw_cluster(
 
     Isolated-point and degenerate-embedding errors propagate to the caller.
     """
-    a = build_affinity(data, scaling, distance_exponent)
-    l = normalized_laplacian(a)
-    return cluster_embedding(l, k, seed, max_iter=max_iter, tol=tol).assignments
+    embedding = _top_k_rows(node_spectrum(data, scaling, distance_exponent), k)
+    return kmeans(embedding, k, seed, max_iter=max_iter, tol=tol).assignments

@@ -12,12 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .affinity import normalized_laplacian
 from .errors import DimensionError, InvalidParameterError
 from .kmeans import kmeans
 from .kmeans import sse as sse_of
-from .linalg import as_matrix, symmetric_eigen
-from .njw import build_affinity, row_normalize
+from .linalg import as_matrix
+from .njw import node_spectrum, row_normalize
 from .scaling import ScalingEstimate
 
 
@@ -194,9 +193,7 @@ def elbow_sweep(
         )
     if space not in ("embedding", "raw"):
         raise InvalidParameterError(f"space must be 'embedding' or 'raw', got {space!r}")
-    a = build_affinity(x, scaling, distance_exponent)
-    laplacian = normalized_laplacian(a)
-    eig = symmetric_eigen(laplacian)
+    eig = node_spectrum(x, scaling, distance_exponent)
     curve = []
     for k in range(k_min, k_max + 1):
         embedding = row_normalize(eig.vectors[:, :k])

@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from iescluster.cli import RunConfig, build_parser, main, run
+from iescluster import cli
+from iescluster.cli import RunConfig, build_parser, config_from_args, main, run
 from iescluster.dataset import Dataset, save_dataset
 from iescluster.errors import InvalidParameterError
+from iescluster.ies import IesConfig
 from iescluster.synth import nested_scale_dataset
 
 
@@ -46,6 +48,50 @@ class TestRunConfig:
             RunConfig(mode="els", variance_threshold=1.5)
 
 
+class TestDefaults:
+    def test_run_defaults_are_ies_config(self):
+        args = build_parser().parse_args(
+            ["run", "--mode", "ies-local", "--input", "x.csv", "--output", "y.json"]
+        )
+        config = config_from_args(args)
+        assert config == RunConfig(mode="ies-local")
+        assert config.ies_config() == IesConfig()
+
+    def test_elbow_defaults_are_ies_config(self):
+        args = build_parser().parse_args([
+            "elbow", "--input", "x.csv", "--output", "y.csv",
+            "--k-min", "1", "--k-max", "4",
+        ])
+        config = config_from_args(args)
+        assert config == RunConfig(mode="elbow", elbow_k_min=1, elbow_k_max=4)
+        assert config.ies_config() == IesConfig()
+
+    def test_every_option_reaches_its_field(self):
+        args = build_parser().parse_args([
+            "run", "--mode", "njw", "--input", "x.csv", "--output", "y.json",
+            "--sigma", "4.0", "--k", "3", "--variance-threshold", "0.9",
+            "--knn", "5", "--search-fraction", "0.4", "--min-node-size", "6",
+            "--depth-cap", "9", "--distance-exponent", "1", "--seed", "2",
+            "--workers", "3",
+        ])
+        assert config_from_args(args) == RunConfig(
+            mode="njw", sigma_override=4.0, k_override=3, variance_threshold=0.9,
+            knn_k=5, search_fraction=0.4, min_node_size=6, depth_cap=9,
+            distance_exponent=1, master_seed=2, n_workers=3,
+        )
+        args = build_parser().parse_args([
+            "elbow", "--input", "x.csv", "--output", "y.csv", "--k-min", "2",
+            "--k-max", "5", "--seed", "4", "--sigma", "1.5",
+            "--variance-threshold", "0.8", "--distance-exponent", "1",
+            "--elbow-space", "raw",
+        ])
+        assert config_from_args(args) == RunConfig(
+            mode="elbow", elbow_k_min=2, elbow_k_max=5, master_seed=4,
+            sigma_override=1.5, variance_threshold=0.8, distance_exponent=1,
+            elbow_space="raw",
+        )
+
+
 class TestRun:
     def test_report_shape_and_metrics(self):
         ds = nested_scale_dataset(n_per_group=40, seed=0)
@@ -64,6 +110,15 @@ class TestRun:
         # JSON round trip preserves every field
         text = json.dumps(report, sort_keys=True)
         assert json.loads(text) == json.loads(json.dumps(json.loads(text), sort_keys=True))
+
+    def test_params_keys(self):
+        ds = nested_scale_dataset(n_per_group=20, seed=0)
+        report = run(RunConfig(mode="els"), ds)
+        assert set(report["params"]) == {
+            "sigma_override", "k_override", "variance_threshold", "knn_k",
+            "search_fraction", "min_node_size", "depth_cap", "distance_exponent",
+            "master_seed", "n_workers",
+        }
 
     def test_metrics_absent_without_labels(self):
         ds = nested_scale_dataset(n_per_group=30, seed=0)
@@ -136,6 +191,28 @@ class TestCommandLine:
             "--output", str(tmp_path / "x.json"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "message, line",
+        [
+            ("Unable to allocate 11.0 GiB", "error: out of memory: Unable to allocate 11.0 GiB"),
+            ("", "error: out of memory"),
+        ],
+    )
+    def test_out_of_memory_is_numeric_error(
+        self, labeled_csv, tmp_path, monkeypatch, capsys, message, line
+    ):
+        def exhausted(config, dataset):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "run", exhausted)
+        code = main([
+            "run", "--mode", "ies-global", "--input", str(labeled_csv),
+            "--label-col", "label", "--has-header",
+            "--output", str(tmp_path / "x.json"),
+        ])
+        assert code == 4
+        assert capsys.readouterr().err.splitlines() == [line]
 
     def test_elbow_subcommand_csv(self, labeled_csv, tmp_path):
         out = tmp_path / "elbow.csv"

@@ -54,6 +54,12 @@ class TestNjwCluster:
         assignments = njw_cluster(data, 2, scaling, seed=0)
         assert partition_of(assignments) == {frozenset({0, 1}), frozenset({2, 3})}
 
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_k_out_of_range(self, k):
+        data = np.array([[0.0], [0.1], [100.0], [100.1]])
+        with pytest.raises(InvalidParameterError):
+            njw_cluster(data, k, estimate_global_sigma(data), seed=0)
+
     def test_k_one_single_cluster(self, rng):
         data = rng.normal(0, 1, (10, 2))
         assignments = njw_cluster(data, 1, estimate_global_sigma(data), seed=0)

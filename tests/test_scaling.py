@@ -100,6 +100,13 @@ class TestGlobalSigma:
             estimate_global_sigma(np.ones((5, 2)))
         with pytest.raises(InsufficientDataError):
             estimate_global_sigma(np.ones((1, 2)))
+
+    @pytest.mark.parametrize("value", [0.1, 1.1, 6.6])
+    def test_constant_rows_are_degenerate(self, value):
+        # The column means of these constants round, which once left a
+        # variance near 1e-30 that did not scale with the data.
+        with pytest.raises(DegenerateDataError):
+            estimate_global_sigma(np.full((8, 3), value))
         with pytest.raises(InvalidParameterError):
             estimate_global_sigma(np.eye(3), variance_threshold=0.0)
 

@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import separated_blobs
+from iescluster.affinity import normalized_laplacian
 from iescluster.errors import DimensionError, InvalidParameterError
+from iescluster.kmeans import kmeans
+from iescluster.njw import build_affinity, spectral_embed
 from iescluster.scaling import estimate_global_sigma
 from iescluster.validation import (
     AssociationMatrix,
@@ -256,6 +259,14 @@ class TestElbowSweep:
         c1 = elbow_sweep(data, (1, 6), scaling, seed=3)
         c2 = elbow_sweep(data, (1, 6), scaling, seed=3)
         assert c1 == c2
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_single_k_equals_njw_chain(self, k):
+        data, _ = separated_blobs((10, 12, 9), separation=20.0, spread=2.0, seed=4)
+        scaling = estimate_global_sigma(data)
+        embedding = spectral_embed(normalized_laplacian(build_affinity(data, scaling)), k)
+        expected = kmeans(embedding, k, 7).sse
+        assert elbow_sweep(data, (k, k), scaling, 7) == [(k, expected)]
 
     def test_invalid_range(self, rng):
         data = rng.normal(0, 1, (5, 2))
