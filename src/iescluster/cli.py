@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 
@@ -82,8 +83,8 @@ class RunConfig:
         if self.mode == "elbow" and (self.elbow_k_min is None or self.elbow_k_max is None):
             raise InvalidParameterError("mode elbow requires --k-min and --k-max")
         if self.sigma_override is not None:
-            if self.sigma_override <= 0:
-                raise InvalidParameterError("--sigma must be positive")
+            if not 0 < self.sigma_override < math.inf:
+                raise InvalidParameterError("--sigma must be finite and positive")
             if self.mode not in _SIGMA_OVERRIDE_MODES:
                 raise InvalidParameterError(
                     f"--sigma only applies to modes {_SIGMA_OVERRIDE_MODES}"

@@ -29,7 +29,7 @@ from .errors import (
     IsolatedPointsError,
 )
 from .kmeans import kmeans
-from .linalg import as_matrix
+from .linalg import as_matrix, pairwise_distances
 from .njw import node_spectrum, row_normalize
 from .scaling import ScalingEstimate, estimate_global_sigma, estimate_local_sigmas
 
@@ -137,10 +137,16 @@ class _NodeStep:
     child_final_reasons: list[str | None] = field(default_factory=list)
 
 
-def _estimate_node_sigma(sub: np.ndarray, mode: str, config: IesConfig) -> ScalingEstimate:
+def _estimate_node_sigma(
+    sub: np.ndarray, mode: str, config: IesConfig
+) -> tuple[ScalingEstimate, np.ndarray | None]:
+    """The node's scale and, for local scaling, the distance matrix it was
+    estimated from; the node's affinity is then built in place in that
+    matrix. Global nodes return None and build theirs inside the affinity."""
     if mode == "global":
-        return estimate_global_sigma(sub, config.variance_threshold)
-    return estimate_local_sigmas(sub, config.knn_k)
+        return estimate_global_sigma(sub, config.variance_threshold), None
+    distances = pairwise_distances(sub)
+    return estimate_local_sigmas(sub, config.knn_k, distances=distances), distances
 
 
 def _split_spectrum(
@@ -149,15 +155,17 @@ def _split_spectrum(
     config: IesConfig,
     seed: int,
     k_override: int | None = None,
+    distances: np.ndarray | None = None,
 ) -> _NodeStep:
     """Affinity through k-means for one node whose scale is already known.
 
     Member arrays inside the returned step index into ``sub``; the caller
-    translates them back to root indices.
+    translates them back to root indices. ``distances``, when given, is
+    ``sub``'s distance matrix and is overwritten by the affinity.
     """
     n = sub.shape[0]
     try:
-        eig = node_spectrum(sub, sigma, config.distance_exponent)
+        eig = node_spectrum(sub, sigma, config.distance_exponent, distances=distances)
     except IsolatedPointsError as err:
         iso = np.asarray(err.indices, dtype=int)
         rest = np.setdiff1d(np.arange(n), iso)
@@ -215,10 +223,10 @@ def _process_node(
     if np.all(sub == sub[0]):
         return _NodeStep(leaf_reason=LEAF_DEGENERATE)
     try:
-        sigma = _estimate_node_sigma(sub, mode, config)
+        sigma, distances = _estimate_node_sigma(sub, mode, config)
     except DegenerateDataError:
         return _NodeStep(leaf_reason=LEAF_DEGENERATE)
-    step = _split_spectrum(sub, sigma, config, seed)
+    step = _split_spectrum(sub, sigma, config, seed, distances=distances)
     step.child_members = [members[idx] for idx in step.child_members]
     return step
 
@@ -392,8 +400,9 @@ def _single_round(
             step = _NodeStep(leaf_reason=LEAF_DEGENERATE)
         else:
             try:
-                round_sigma = sigma if sigma is not None else _estimate_node_sigma(
-                    sub, scaling_mode, config
+                round_sigma, distances = (
+                    (sigma, None) if sigma is not None
+                    else _estimate_node_sigma(sub, scaling_mode, config)
                 )
                 step = _split_spectrum(
                     sub,
@@ -401,6 +410,7 @@ def _single_round(
                     config,
                     node_seed(master_seed, (round_index,)),
                     k_override=k_override,
+                    distances=distances,
                 )
                 step.child_members = [members[idx] for idx in step.child_members]
             except DegenerateDataError:

@@ -133,12 +133,22 @@ def pca(data) -> PcaResult:
 def pairwise_distances(data) -> np.ndarray:
     """Exact Euclidean distance matrix, computed row-by-row from differences.
 
+    Only the upper triangle is computed: row i takes the differences
+    ``x[j] - x[i]`` for j > i, and each row is mirrored into its column, with
+    zeros on the diagonal. The matrix is therefore exactly symmetric, and
+    every entry equals the per-pair ``sqrt(sum((x[i] - x[j]) ** 2))`` bit for
+    bit, because negating a difference does not change its square.
     Differences (rather than the expanded inner-product form) keep the result
-    translation-stable and bit-reproducible against a per-pair reference.
+    translation-stable and bit-reproducible against that per-pair reference.
     """
     x = as_matrix(data)
     n = x.shape[0]
     out = np.empty((n, n))
+    diff = np.empty((max(n - 1, 0), x.shape[1]))
     for i in range(n):
-        out[i] = np.sqrt(np.sum((x - x[i]) ** 2, axis=1))
+        rest = np.subtract(x[i + 1 :], x[i], out=diff[: n - 1 - i])
+        np.multiply(rest, rest, out=rest)
+        row = np.sqrt(np.sum(rest, axis=1), out=out[i, i + 1 :])
+        out[i + 1 :, i] = row
+    np.fill_diagonal(out, 0.0)
     return out

@@ -15,12 +15,22 @@ from .scaling import ScalingEstimate
 _ZERO_ROW_RTOL = 1e-12
 
 
-def build_affinity(data, scaling: ScalingEstimate, distance_exponent: int = 2) -> np.ndarray:
-    """Affinity matrix for either scaling kind."""
+def build_affinity(
+    data, scaling: ScalingEstimate, distance_exponent: int = 2, *, distances=None
+) -> np.ndarray:
+    """Affinity matrix for either scaling kind.
+
+    ``distances`` applies to local scaling, whose estimate already needed
+    them: when given, it is ``pairwise_distances(data)`` and is overwritten
+    in place to become the affinity (see ``affinity_local``). A global
+    affinity builds its own distance matrix.
+    """
     if scaling.kind == "global":
         return affinity_global(data, scaling.sigma_sq, distance_exponent)
     if scaling.kind == "local":
-        return affinity_local(data, scaling.local_sigmas, distance_exponent)
+        return affinity_local(
+            data, scaling.local_sigmas, distance_exponent, distances=distances
+        )
     raise InvalidParameterError(f"unknown scaling kind {scaling.kind!r}")
 
 
@@ -36,13 +46,16 @@ def row_normalize(vectors: np.ndarray) -> np.ndarray:
     return vectors / norms[:, None]
 
 
-def node_spectrum(data, scaling: ScalingEstimate, distance_exponent: int = 2) -> EigenPairs:
+def node_spectrum(
+    data, scaling: ScalingEstimate, distance_exponent: int = 2, *, distances=None
+) -> EigenPairs:
     """Affinity -> normalized Laplacian -> eigensolve for one set of points.
 
     The one spectral chain behind the IES node step, NJW and the elbow
     sweep. Isolated-point errors from the Laplacian propagate to the caller.
+    ``distances`` is handed to ``build_affinity``, which overwrites it.
     """
-    a = build_affinity(data, scaling, distance_exponent)
+    a = build_affinity(data, scaling, distance_exponent, distances=distances)
     return symmetric_eigen(normalized_laplacian(a))
 
 

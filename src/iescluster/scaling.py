@@ -7,12 +7,21 @@ a per-point local sigma (distance to the k-th nearest neighbor).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientDataError, InvalidParameterError
+from .errors import (
+    DimensionError,
+    InsufficientDataError,
+    InvalidDataError,
+    InvalidParameterError,
+)
 from .linalg import as_matrix, pairwise_distances, pca
+
+# Rows of the distance matrix partitioned at a time by estimate_local_sigmas.
+_PARTITION_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -32,9 +41,12 @@ class ScalingEstimate:
 
 
 def manual_global_sigma(sigma_sq: float) -> ScalingEstimate:
-    """Wrap a user-supplied sigma^2 as a global estimate."""
-    if not sigma_sq > 0:
-        raise InvalidParameterError(f"sigma_sq must be positive, got {sigma_sq}")
+    """Wrap a user-supplied sigma^2 as a global estimate; it must be finite
+    and positive."""
+    if not 0 < sigma_sq < math.inf:
+        raise InvalidParameterError(
+            f"sigma_sq must be finite and positive, got {sigma_sq}"
+        )
     return ScalingEstimate(kind="global", sigma_sq=float(sigma_sq))
 
 
@@ -73,11 +85,17 @@ def estimate_global_sigma(data, variance_threshold: float = 0.95) -> ScalingEsti
     )
 
 
-def estimate_local_sigmas(data, k: int = 7) -> ScalingEstimate:
+def estimate_local_sigmas(data, k: int = 7, *, distances=None) -> ScalingEstimate:
     """Per-point local sigma: Euclidean distance to the k-th nearest neighbor.
 
     k is clipped to n-1 so small subsets still get a defined scale. Duplicated
     points can yield sigma 0; the affinity construction handles that case.
+
+    ``distances``, when given, must be ``pairwise_distances(data)``; it is
+    read, not modified, and saves computing the matrix again.
+
+    Raises InvalidDataError when a sigma is not finite, which happens when
+    the data's pairwise distances overflow.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be at least 1, got {k}")
@@ -88,10 +106,16 @@ def estimate_local_sigmas(data, k: int = 7) -> ScalingEstimate:
             f"local sigma estimation needs at least 2 rows, got {n}"
         )
     k_eff = min(k, n - 1)
-    dist = pairwise_distances(x)
+    dist = pairwise_distances(x) if distances is None else distances
+    if dist.shape != (n, n):
+        raise DimensionError(f"distances must be {n}x{n}, got {dist.shape}")
+    # The self-distance 0 is the smallest entry of its row, so order
+    # statistic k_eff of the full row is the k_eff-th nearest other point.
+    # Row blocks bound the partition's copy to a slice of the matrix.
     sigmas = np.empty(n)
-    for i in range(n):
-        others = np.delete(dist[i], i)
-        others.sort()
-        sigmas[i] = others[k_eff - 1]
+    for start in range(0, n, _PARTITION_ROWS):
+        block = dist[start : start + _PARTITION_ROWS]
+        sigmas[start : start + block.shape[0]] = np.partition(block, k_eff, axis=1)[:, k_eff]
+    if not np.all(np.isfinite(sigmas)):
+        raise InvalidDataError("local sigmas are not finite: pairwise distances overflow")
     return ScalingEstimate(kind="local", local_sigmas=sigmas)

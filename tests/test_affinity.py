@@ -13,7 +13,7 @@ from iescluster.errors import (
     InvalidParameterError,
     IsolatedPointsError,
 )
-from iescluster.linalg import symmetric_eigen
+from iescluster.linalg import pairwise_distances, symmetric_eigen
 
 finite_floats = st.floats(min_value=-30, max_value=30, allow_nan=False)
 
@@ -23,6 +23,63 @@ def data_matrices(max_n=15, max_m=4):
         st.integers(min_value=2, max_value=max_n),
         st.integers(min_value=1, max_value=max_m),
     ).flatmap(lambda nm: arrays(np.float64, nm, elements=finite_floats))
+
+
+def global_oracle(data, sigma_sq, exponent):
+    """The textbook expression, one temporary per step."""
+    d = pairwise_distances(data)
+    term = d**2 if exponent == 2 else d
+    a = np.exp(-term / (2.0 * sigma_sq))
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def local_oracle(data, sigmas, exponent):
+    """The textbook expression with the zero-scale limit filled in after."""
+    d = pairwise_distances(data)
+    term = d**2 if exponent == 2 else d
+    denom = np.outer(sigmas, sigmas)
+    zero = denom == 0.0
+    a = np.exp(-term / np.where(zero, 1.0, denom))
+    a[zero] = np.where(term[zero] == 0.0, 1.0, 0.0)
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def data_with_duplicates(rng, n=60, m=7):
+    data = rng.normal(0, 3, (n, m))
+    data[1] = data[2] = data[0]
+    return data
+
+
+class TestFusedAffinity:
+    """The fused, in-place affinities against the textbook expression, bit
+    for bit; the local one also with a precomputed distance matrix."""
+
+    @pytest.mark.parametrize("exponent", [1, 2])
+    def test_global(self, rng, exponent):
+        data = data_with_duplicates(rng)
+        expected = global_oracle(data, 1.7, exponent)
+        assert np.array_equal(affinity_global(data, 1.7, exponent), expected)
+
+    @pytest.mark.parametrize("exponent", [1, 2])
+    def test_local(self, rng, exponent):
+        data = data_with_duplicates(rng)
+        # Zero scales on the duplicates and on one distinct point, plus a
+        # pair whose product underflows to zero.
+        sigmas = rng.uniform(0.5, 4.0, data.shape[0])
+        sigmas[[0, 1, 5]] = 0.0
+        sigmas[[7, 8]] = 1e-170
+        expected = local_oracle(data, sigmas, exponent)
+        assert np.array_equal(affinity_local(data, sigmas, exponent), expected)
+        dist = pairwise_distances(data)
+        a = affinity_local(data, sigmas, exponent, distances=dist)
+        assert np.array_equal(a, expected)
+        assert a is dist  # the buffer became the affinity
+
+    def test_shape_checked(self):
+        with pytest.raises(DimensionError):
+            affinity_local(np.eye(3), np.ones(3), distances=np.zeros((3, 2)))
 
 
 class TestAffinityGlobal:
@@ -45,6 +102,11 @@ class TestAffinityGlobal:
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(InvalidParameterError):
             affinity_global(np.eye(2), sigma_sq=0.0)
+
+    @pytest.mark.parametrize("sigma_sq", [np.inf, -np.inf, np.nan])
+    def test_non_finite_sigma_rejected(self, sigma_sq):
+        with pytest.raises(InvalidParameterError):
+            affinity_global(np.eye(2), sigma_sq=sigma_sq)
 
     def test_distance_exponent_one(self):
         # literal unsquared reading: exp(-1 / (2 * 0.5)) = exp(-1) for d=1,
@@ -99,6 +161,11 @@ class TestAffinityLocal:
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             affinity_local(np.eye(3), [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sigmas_rejected(self, bad):
+        with pytest.raises(InvalidParameterError):
+            affinity_local(np.eye(3), [1.0, bad, 1.0])
 
     @settings(max_examples=30, deadline=None)
     @given(data_matrices(max_n=10), st.floats(min_value=-50, max_value=50))

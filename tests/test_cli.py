@@ -39,6 +39,14 @@ class TestRunConfig:
         with pytest.raises(InvalidParameterError):
             RunConfig(mode="els", sigma_override=3.0)
 
+    @pytest.mark.parametrize("sigma", [float("inf"), float("nan"), 0.0, -1.0])
+    @pytest.mark.parametrize("mode", ["legacy-eigengap", "elbow"])
+    def test_sigma_override_must_be_finite_and_positive(self, mode, sigma):
+        with pytest.raises(InvalidParameterError):
+            RunConfig(
+                mode=mode, sigma_override=sigma, elbow_k_min=1, elbow_k_max=3
+            )
+
     def test_unknown_mode(self):
         with pytest.raises(InvalidParameterError):
             RunConfig(mode="magic")
@@ -175,6 +183,42 @@ class TestCommandLine:
             "--output", str(tmp_path / "x.json"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("sigma", ["inf", "1e400", "nan"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "--mode", "legacy-eigengap"],
+            ["run", "--mode", "njw", "--k", "2"],
+            ["elbow", "--k-min", "1", "--k-max", "3"],
+        ],
+    )
+    def test_non_finite_sigma_is_config_error(
+        self, labeled_csv, tmp_path, capsys, command, sigma
+    ):
+        out = tmp_path / "x.out"
+        code = main(command + [
+            "--sigma", sigma, "--input", str(labeled_csv),
+            "--label-col", "label", "--has-header", "--output", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: --sigma")
+
+    @pytest.mark.parametrize("mode", ["ies-local", "els"])
+    def test_overflowing_distances_are_data_error(self, tmp_path, capsys, mode):
+        rng = np.random.default_rng(0)
+        features = np.vstack([rng.normal(0, 1, (10, 2)), rng.normal(9, 1, (10, 2))])
+        path = tmp_path / "huge.csv"
+        save_dataset(Dataset(features=features * 1e160), path)
+        out = tmp_path / "x.json"
+        code = main([
+            "run", "--mode", mode, "--input", str(path), "--has-header",
+            "--output", str(out),
+        ])
+        assert code == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: local sigmas are not finite")
 
     def test_bad_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

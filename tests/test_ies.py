@@ -1,9 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import partition_of, separated_blobs
+from iescluster import linalg
 from iescluster.errors import InsufficientDataError, InvalidDataError, InvalidParameterError
 from iescluster.ies import (
     IesConfig,
@@ -191,3 +194,55 @@ class TestSingleRoundModes:
         data = rng.normal(0, 1, (8, 2))
         out = njw_outcome(data, 1, master_seed=0)
         assert out.n_clusters == 1
+
+
+@pytest.fixture
+def distance_calls(monkeypatch):
+    """Count pairwise_distances calls under every name the package binds it
+    to, so no module can reach the unwrapped function."""
+    calls = []
+    original = linalg.pairwise_distances
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "iescluster" or name.startswith("iescluster."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestDistanceMatrixPerNode:
+    """Each spectral node computes its distance matrix exactly once; local
+    nodes reuse the matrix of their scale estimate for the affinity."""
+
+    @pytest.mark.parametrize("mode", ["local", "global"])
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_ies_one_call_per_spectral_node(self, distance_calls, mode, n_workers):
+        data, _ = separated_blobs((25, 25, 25), seed=4)
+        out = ies_cluster(data, mode, master_seed=0, n_workers=n_workers)
+        spectral = sum(node.sigma is not None for node in out.nodes)
+        assert spectral >= 4
+        assert len(distance_calls) == spectral
+
+    def test_els_one_call(self, distance_calls):
+        data, _ = separated_blobs((25, 25, 25), seed=4)
+        els_cluster(data, master_seed=0)
+        assert len(distance_calls) == 1
+
+
+class TestOverflowingDistances:
+    """Distances that overflow to inf are a fault of the data: the local
+    modes report them as InvalidDataError, as the Laplacian did before the
+    scale estimate checked its sigmas."""
+
+    def test_local_modes_raise_data_error(self):
+        data, _ = separated_blobs((20, 20), seed=1)
+        with pytest.raises(InvalidDataError):
+            ies_cluster(data * 1e160, "local", master_seed=0)
+        with pytest.raises(InvalidDataError):
+            els_cluster(data * 1e160, master_seed=0)
+

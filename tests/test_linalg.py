@@ -167,3 +167,17 @@ class TestPairwiseDistances:
         d = pairwise_distances(rng.normal(0, 1, (10, 3)))
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0)
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    @pytest.mark.parametrize("offset", [0.0, 1e8])
+    def test_wide_rows_match_per_pair_oracle_exactly(self, rng, n, offset):
+        # m = 200 sums each row pairwise in blocks. For n = 300, rows 1 and
+        # n-1 repeat row 0 so that exact zeros appear off the diagonal.
+        x = rng.normal(0, 3, (n, 200)) + offset
+        if n > 2:
+            x[1] = x[n - 1] = x[0]
+        d = pairwise_distances(x)
+        oracle = np.array(
+            [[np.sqrt(np.sum((x[i] - x[j]) ** 2)) for j in range(n)] for i in range(n)]
+        )
+        assert np.array_equal(d, oracle)

@@ -6,10 +6,12 @@ from hypothesis.extra.numpy import arrays
 
 from iescluster.errors import (
     DegenerateDataError,
+    DimensionError,
     InsufficientDataError,
+    InvalidDataError,
     InvalidParameterError,
 )
-from iescluster.linalg import covariance
+from iescluster.linalg import covariance, pairwise_distances
 from iescluster.scaling import (
     estimate_global_sigma,
     estimate_local_sigmas,
@@ -128,6 +130,18 @@ class TestGlobalSigma:
         assert scaled.sigma_sq == pytest.approx(base.sigma_sq * factor**2, rel=1e-6)
 
 
+def local_sigma_oracle(dist, k):
+    """k-th nearest other point per row: drop the self-distance, sort, index."""
+    n = dist.shape[0]
+    k_eff = min(k, n - 1)
+    sigmas = np.empty(n)
+    for i in range(n):
+        others = np.delete(dist[i], i)
+        others.sort()
+        sigmas[i] = others[k_eff - 1]
+    return sigmas
+
+
 class TestLocalSigmas:
     def test_three_points_line(self):
         # 1-D points [0, 1, 10] with k=7 clipped to k_eff=2: second-nearest
@@ -180,8 +194,41 @@ class TestLocalSigmas:
         with pytest.raises(InsufficientDataError):
             estimate_local_sigmas(np.ones((1, 3)), k=1)
 
+    @pytest.mark.parametrize(
+        "n, k",
+        [(2, 1), (2, 7), (9, 8), (9, 30), (40, 3), (600, 7)],
+    )
+    def test_matches_delete_sort_oracle(self, rng, n, k):
+        # Every third point repeats its predecessor, so rows hold several
+        # zeros; n = 600 spans more than one partition block.
+        data = rng.normal(0, 4, (n, 5))
+        data[2::3] = data[1::3][: data[2::3].shape[0]]
+        dist = pairwise_distances(data)
+        expected = local_sigma_oracle(dist, k)
+        assert np.array_equal(estimate_local_sigmas(data, k).local_sigmas, expected)
+        given_dist = dist.copy()
+        est = estimate_local_sigmas(data, k, distances=given_dist)
+        assert np.array_equal(est.local_sigmas, expected)
+        assert np.array_equal(given_dist, dist)  # read, not modified
+
+    def test_distances_shape_checked(self):
+        with pytest.raises(DimensionError):
+            estimate_local_sigmas(np.eye(3), 1, distances=np.zeros((2, 2)))
+
+    def test_overflowing_distances_are_data_error(self):
+        # 1e160 apart: the squared difference, hence the distance, is inf.
+        data = np.array([[0.0], [1e160], [3e160]])
+        with pytest.raises(InvalidDataError):
+            estimate_local_sigmas(data, 1)
+
 
 def test_manual_sigma_rejects_nonpositive():
     assert manual_global_sigma(2.5).sigma_sq == 2.5
     with pytest.raises(InvalidParameterError):
         manual_global_sigma(0.0)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_manual_sigma_rejects_non_finite(value):
+    with pytest.raises(InvalidParameterError):
+        manual_global_sigma(value)
