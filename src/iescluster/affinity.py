@@ -88,15 +88,17 @@ def normalized_laplacian(a) -> np.ndarray:
     """Symmetric normalization L = D^{-1/2} A D^{-1/2}, D the degree diagonal.
 
     Raises IsolatedPointsError (carrying the offending indices) when a row of
-    the affinity sums to zero; the caller decides how to split those points
-    off.
+    the affinity sums to zero, or to so little that 1/degree overflows (its
+    affinities underflowed to subnormals), which would turn the scaled row
+    into inf and NaN; the caller decides how to split those points off.
     """
     m = as_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise DimensionError(f"affinity must be square, got {m.shape}")
     degrees = m.sum(axis=1)
-    isolated = np.nonzero(degrees <= 0.0)[0]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv_sqrt = 1.0 / np.sqrt(degrees)
+        isolated = np.nonzero(~np.isfinite(inv_sqrt * inv_sqrt))[0]
     if isolated.size:
         raise IsolatedPointsError(isolated)
-    inv_sqrt = 1.0 / np.sqrt(degrees)
     return m * np.outer(inv_sqrt, inv_sqrt)

@@ -214,6 +214,15 @@ class TestNormalizedLaplacian:
             normalized_laplacian(a)
         assert excinfo.value.indices == (2,)
 
+    def test_subnormal_degrees_are_isolated(self):
+        # exp(-47^2 / 3) underflows to a subnormal; scaling by 1/degree
+        # would overflow to inf and NaN.
+        a = affinity_global(np.array([[21.0], [-26.0]]), sigma_sq=1.5)
+        assert 0.0 < a[0, 1] < np.finfo(float).tiny
+        with pytest.raises(IsolatedPointsError) as excinfo:
+            normalized_laplacian(a)
+        assert excinfo.value.indices == (0, 1)
+
     @settings(max_examples=40, deadline=None)
     @given(data_matrices(max_n=12), st.floats(min_value=0.05, max_value=50))
     def test_spectrum_bounds_and_top_eigenvalue(self, data, sigma_sq):

@@ -17,7 +17,7 @@ from iescluster.ies import (
     node_seed,
 )
 from iescluster.njw import njw_cluster
-from iescluster.scaling import estimate_global_sigma
+from iescluster.scaling import estimate_global_sigma, manual_global_sigma
 from iescluster.synth import nested_scale_dataset
 from iescluster.validation import evaluate
 
@@ -180,6 +180,23 @@ class TestSingleRoundModes:
         out = legacy_eigengap_cluster(np.array([[0.0], [5.0]]), master_seed=0)
         assert out.n_clusters == 1
         assert out.root.estimated_k == 1
+
+    def test_legacy_ejects_point_with_subnormal_degree(self, rng):
+        # With sigma^2 = 1.5 every affinity of the point at -47 underflows to
+        # a subnormal, so 1/degree overflows; the point is ejected as
+        # isolated and the round goes on with the two groups.
+        data = np.concatenate(
+            [rng.uniform(-0.05, 0.05, 20), rng.uniform(9.95, 10.05, 20), [-47.0]]
+        )[:, None]
+        out = legacy_eigengap_cluster(
+            data, master_seed=0, sigma=manual_global_sigma(1.5)
+        )
+        assert_valid_tree(out, 41)
+        isolated = [n for n in out.leaves() if n.leaf_reason == "isolated"]
+        assert [n.member_indices.tolist() for n in isolated] == [[40]]
+        assert partition_of(out.leaf_assignments) == partition_of(
+            np.repeat([0, 1, 2], [20, 20, 1])
+        )
 
     def test_njw_outcome_depth_one_tree(self):
         data, labels = separated_blobs((10, 12), separation=70.0, spread=0.1, seed=9)
