@@ -315,6 +315,35 @@ def _validated_data(data) -> np.ndarray:
     return as_matrix(x)
 
 
+# Nodes of at least this many points are processed one at a time on the
+# calling thread, even with n_workers > 1; only smaller nodes go to the
+# worker threads. A large node's eigensolve already keeps every core busy in
+# BLAS. Its freed n x n buffers would also stay resident in the malloc arena
+# of whichever worker thread ran it (glibc keeps a free arena top of up to
+# twice the largest block freed so far), so the peak resident memory of a
+# threaded run would depend on how the nodes happened to be shared out: on
+# 1200 points it read either about 130 or about 154 MB from run to run.
+POOL_NODE_LIMIT = 256
+
+
+def _map_level(process, level: list, pool) -> list:
+    """Steps for one level's work items, in level order.
+
+    Without a pool every item runs on the calling thread. With one, the
+    items smaller than ``POOL_NODE_LIMIT`` points are submitted to it first,
+    and the calling thread processes the larger ones, in level order, while
+    the workers run.
+    """
+    if pool is None:
+        return [process(item) for item in level]
+    futures = [
+        pool.submit(process, item) if item[1].size < POOL_NODE_LIMIT else None
+        for item in level
+    ]
+    steps = [process(item) if fut is None else None for item, fut in zip(level, futures)]
+    return [step if fut is None else fut.result() for step, fut in zip(steps, futures)]
+
+
 def ies_cluster(
     data,
     mode: str,
@@ -325,10 +354,12 @@ def ies_cluster(
     """Level-by-level divisive search; leaves are the final clusters.
 
     ``mode`` selects per-node scaling: "global" (PCA-based) or "local"
-    (k-nearest-neighbor). With ``n_workers`` > 1, the nodes of a level are
-    processed concurrently; results are identical to the sequential run
-    because every node's seed derives from its path and nodes are numbered
-    canonically afterwards, so traversal order cannot change the output.
+    (k-nearest-neighbor). With ``n_workers`` > 1, the nodes of a level
+    smaller than ``POOL_NODE_LIMIT`` points are processed by ``n_workers``
+    threads while the calling thread processes the larger ones; results are
+    identical to the sequential run because every node's seed derives from
+    its path and nodes are numbered canonically afterwards, so traversal
+    order cannot change the output.
     """
     if mode not in ("global", "local"):
         raise InvalidParameterError(f"mode must be 'global' or 'local', got {mode!r}")
@@ -348,11 +379,10 @@ def ies_cluster(
     # One worker maps on the calling thread: a one-thread pool would give the
     # worker its own malloc arena and raise peak RSS for nothing.
     with ThreadPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
-        map_level = map if pool is None else pool.map
         while level:
             level = [
                 child
-                for item, step in zip(level, map_level(process, level))
+                for item, step in zip(level, _map_level(process, level, pool))
                 for child in _record_step(records, *item, step)
             ]
 

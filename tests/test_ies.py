@@ -1,4 +1,5 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import partition_of, separated_blobs
+import iescluster.ies as ies_module
 from iescluster import linalg
 from iescluster.errors import InsufficientDataError, InvalidDataError, InvalidParameterError
 from iescluster.ies import (
@@ -132,6 +134,34 @@ class TestIesTree:
                 assert a.id == b.id and a.children == b.children
                 assert np.array_equal(a.member_indices, b.member_indices)
                 assert a.leaf_reason == b.leaf_reason
+
+    def test_large_nodes_run_on_calling_thread(self, monkeypatch):
+        # A low limit puts the root and its large children on the calling
+        # thread and the rest in the pool; the tree must not change.
+        ds = nested_scale_dataset(n_per_group=60, seed=5)
+        monkeypatch.setattr(ies_module, "POOL_NODE_LIMIT", 100)
+        threads = []
+        original = ies_module._process_node
+
+        def recorded(x, members, *args):
+            threads.append((members.size, threading.get_ident()))
+            return original(x, members, *args)
+
+        monkeypatch.setattr(ies_module, "_process_node", recorded)
+        caller = threading.get_ident()
+        for mode in ("global", "local"):
+            threads.clear()
+            seq = ies_cluster(ds.features, mode, master_seed=0, n_workers=1)
+            par = ies_cluster(ds.features, mode, master_seed=0, n_workers=2)
+            par_threads = threads[len(threads) // 2 :]
+            assert any(size >= 100 for size, _ in par_threads)
+            assert any(size < 100 for size, _ in par_threads)
+            for size, ident in par_threads:
+                assert (ident == caller) == (size >= 100)
+            assert np.array_equal(seq.leaf_assignments, par.leaf_assignments)
+            assert [(a.id, a.children, a.leaf_reason) for a in seq.nodes] == [
+                (b.id, b.children, b.leaf_reason) for b in par.nodes
+            ]
 
     def test_node_seed_path_dependence(self):
         assert node_seed(0, ()) == node_seed(0, ())
