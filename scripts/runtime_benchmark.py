@@ -3,7 +3,11 @@
 
 Starts from a labeled multi-scale synthetic base, grows it to each target
 size by resampling points per class and adding white noise, and times every
-mode. Emits a CSV (size, mode, clusters, accuracy, runtime_ms).
+mode. Emits a CSV (size, mode, clusters, accuracy, f_measure,
+cluster_ratio, runtime_ms). Accuracy and F score the majority-vote mapping,
+which merges clusters of the same label, so both read 1.0 when every label
+is split into many pure clusters; the cluster ratio (clusters / labels)
+shows that over-segmentation.
 
 Usage: python scripts/runtime_benchmark.py --sizes 300 600 1200 --output bench.csv
 """
@@ -42,7 +46,9 @@ def main():
 
     out = sys.stdout if args.output == "-" else open(args.output, "w", newline="")
     writer = csv.writer(out)
-    writer.writerow(["size", "mode", "clusters", "accuracy", "runtime_ms"])
+    writer.writerow(
+        ["size", "mode", "clusters", "accuracy", "f_measure", "cluster_ratio", "runtime_ms"]
+    )
     for size in sorted(args.sizes):
         ds = (
             base
@@ -53,7 +59,15 @@ def main():
             outcome = fn(ds.features)
             rep = evaluate(outcome.leaf_assignments, ds.labels, outcome.n_clusters)
             writer.writerow(
-                [ds.n, name, outcome.n_clusters, f"{rep.accuracy:.4f}", f"{outcome.runtime_ms:.1f}"]
+                [
+                    ds.n,
+                    name,
+                    outcome.n_clusters,
+                    f"{rep.accuracy:.4f}",
+                    f"{rep.f_measure:.4f}",
+                    f"{rep.indicator_cluster_ratio:.4f}",
+                    f"{outcome.runtime_ms:.1f}",
+                ]
             )
             out.flush()
     if out is not sys.stdout:

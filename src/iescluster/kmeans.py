@@ -7,6 +7,13 @@ in sequence from the same seeded generator) are run and the lowest-SSE
 result kept, so the outcome is a pure function of (data, k, seed). For a
 fixed seed the candidate starting points are identical for every k, which
 keeps elbow sweeps comparable.
+
+The assignment step ranks centroids in inner-product form, |c|^2 - 2 x.c,
+from one matrix product. A point keeps that nearest centroid only when its
+margin over the runner-up exceeds a rounding bound; the other points are
+recomputed in the difference form sum((x - c)^2), which stays the oracle.
+Assignments are therefore bit-identical to the difference form's, lowest
+centroid id on ties, on any BLAS (see ``_nearest``).
 """
 
 from __future__ import annotations
@@ -70,10 +77,71 @@ def farthest_point_init(data, k: int, first_index: int) -> np.ndarray:
     return x[chosen].copy()
 
 
-def _nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+_EPS = np.finfo(float).eps
+# Row scales outside this window get an infinite slack, so those rows always
+# take the exact path. Below it, underflow makes rounding errors absolute
+# rather than relative; above it, either form may overflow.
+_SCALE_MIN = np.finfo(float).tiny / _EPS
+_SCALE_MAX = np.finfo(float).max / 4
+
+
+def _nearest_exact(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # argmin resolves ties to the lowest centroid id.
     d2 = np.sum((x[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
     return np.argmin(d2, axis=1)
+
+
+def _nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """``_nearest_exact`` bit for bit, from one GEMM instead of n*k*d differences.
+
+    For each row, h_j = |c_j|^2 - 2 x.c_j is |x - c_j|^2 less the row's own
+    |x|^2, so it has the same argmin. A row keeps that argmin only when its
+    gap (runner-up h minus best h) exceeds the slack below; every other row is
+    recomputed by ``_nearest_exact``.
+
+    Slack. Let u = eps/2, g_m = m u / (1 - m u), d the dimension and
+    S = |x|^2 + max_j |c_j|^2, so |x|^2 + |c_j|^2 <= S and, by Cauchy-Schwarz,
+    2 |x| |c_j| <= S. In any summation order (BLAS or einsum, with or without
+    FMA) a computed dot product errs by at most g_d sum_i |x_i c_ji|
+    <= g_d |x| |c_j|, and |c_j|^2 by at most g_d |c_j|^2. Scaling by -2 is
+    exact and the one addition adds u, so the computed h_j errs by at most
+    g_(d+1) (|c_j|^2 + 2 |x| |c_j|) <= 2 g_(d+1) S. The difference form
+    rounds each (x_i - c_ji)^2 within g_3 and sums d nonnegative terms within
+    g_(d-1), so it errs by at most g_(d+2) |x - c_j|^2 <= 2 g_(d+2) S. The
+    exact h_o - h_b equals |x - c_o|^2 - |x - c_b|^2, so a computed gap above
+    2 (2 g_(d+1) S) + 2 (2 g_(d+2) S) <= 8 g_(d+2) S <= 4 (d+3) eps S
+    (using m (m+1) u <= 1) leaves every other centroid strictly farther in
+    the difference form too: its argmin is the same unique index. The slack
+    doubles that bound, which also covers rounding in S, the gap and the
+    slack themselves, and, for S >= _SCALE_MIN, the absolute error of
+    subnormal intermediates (at most ~4d+8 of 2^-1075 against a spare
+    4 (d+3) 2^-1022). For S <= _SCALE_MAX no intermediate of either form
+    exceeds 2 S, so nothing overflows.
+
+    Rows outside the scale window get an infinite slack, and a NaN gap (from
+    inf - inf) compares false, so both fail ``gap > slack`` and take the
+    exact path. So does any exact tie (gap 0): ties keep ``argmin``'s
+    lowest-id rule.
+    """
+    n, d = x.shape
+    # Overflow here only sends rows to the exact path, which warns as before.
+    with np.errstate(over="ignore", invalid="ignore"):
+        cc = np.einsum("ij,ij->i", centroids, centroids)
+        h = x @ centroids.T
+        h *= -2.0
+        h += cc
+        rows = np.arange(n)
+        best = np.argmin(h, axis=1)
+        lead = h[rows, best]
+        h[rows, best] = np.inf
+        gap = h.min(axis=1) - lead
+        scale = np.einsum("ij,ij->i", x, x) + cc.max()
+        in_window = (scale >= _SCALE_MIN) & (scale <= _SCALE_MAX)
+        slack = np.where(in_window, 8.0 * (d + 3) * _EPS * scale, np.inf)
+    redo = np.flatnonzero(~(gap > slack))
+    if redo.size:
+        best[redo] = _nearest_exact(x[redo], centroids)
+    return best
 
 
 def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float) -> KMeansResult:

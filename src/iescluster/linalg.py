@@ -63,23 +63,26 @@ def as_matrix(data) -> np.ndarray:
 def symmetric_eigen(m) -> EigenPairs:
     """Full eigendecomposition of a symmetric matrix, sorted descending.
 
-    The input is symmetrized by averaging before decomposing; a symmetry
-    defect above ``SYMMETRY_RTOL`` times the largest entry magnitude is
-    rejected. Each eigenvector is unit norm with its largest-magnitude
-    entry made positive, so identical input yields identical output.
+    Exactly symmetric input is decomposed as is, without a copy: averaging
+    it with its transpose would give back the same bits. Other input is
+    averaged first, and a symmetry defect above ``SYMMETRY_RTOL`` times the
+    largest entry magnitude is rejected. Each eigenvector is unit norm with
+    its largest-magnitude entry made positive, so identical input yields
+    identical output.
     """
     a = as_matrix(m)
     n, cols = a.shape
     if n != cols:
         raise DimensionError(f"eigendecomposition needs a square matrix, got {a.shape}")
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    defect = np.max(np.abs(a - a.T))
-    if defect > SYMMETRY_RTOL * max(scale, 1e-300):
-        raise InvalidDataError(
-            f"matrix is not symmetric: defect {defect:.3e} exceeds tolerance"
-        )
-    sym = (a + a.T) / 2.0
-    values, vectors = np.linalg.eigh(sym)
+    if not np.array_equal(a, a.T):
+        scale = np.max(np.abs(a))
+        defect = np.max(np.abs(a - a.T))
+        if defect > SYMMETRY_RTOL * max(scale, 1e-300):
+            raise InvalidDataError(
+                f"matrix is not symmetric: defect {defect:.3e} exceeds tolerance"
+            )
+        a = (a + a.T) / 2.0
+    values, vectors = np.linalg.eigh(a)
     # eigh returns ascending order; flip to descending. For equal values the
     # solver's ordering is kept, which is deterministic for identical input.
     values = values[::-1].copy()

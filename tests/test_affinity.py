@@ -14,6 +14,8 @@ from iescluster.errors import (
     IsolatedPointsError,
 )
 from iescluster.linalg import pairwise_distances, symmetric_eigen
+from iescluster.njw import build_affinity
+from iescluster.scaling import estimate_global_sigma, estimate_local_sigmas
 
 finite_floats = st.floats(min_value=-30, max_value=30, allow_nan=False)
 
@@ -213,6 +215,17 @@ class TestNormalizedLaplacian:
         with pytest.raises(IsolatedPointsError) as excinfo:
             normalized_laplacian(a)
         assert excinfo.value.indices == (2,)
+
+    @pytest.mark.parametrize("local", [False, True])
+    def test_exactly_symmetric(self, rng, local):
+        # symmetric_eigen decomposes exactly symmetric input without
+        # averaging; (L + L.T) / 2 == L bit for bit, so nothing changes.
+        x = np.vstack([rng.normal(0, 1, (40, 3)), rng.normal(6, 0.1, (30, 3))])
+        x[5] = x[4]  # a duplicate point: zero local sigma products
+        scaling = estimate_local_sigmas(x) if local else estimate_global_sigma(x)
+        lap = normalized_laplacian(build_affinity(x, scaling))
+        assert np.array_equal(lap, lap.T)
+        assert np.array_equal((lap + lap.T) / 2.0, lap)
 
     def test_subnormal_degrees_are_isolated(self):
         # exp(-47^2 / 3) underflows to a subnormal; scaling by 1/degree

@@ -1,3 +1,4 @@
+from importlib import import_module
 from itertools import product
 
 import numpy as np
@@ -6,7 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iescluster.errors import DimensionError, InvalidParameterError
-from iescluster.kmeans import farthest_point_init, kmeans, sse
+from iescluster.kmeans import (
+    _nearest,
+    _nearest_exact,
+    farthest_point_init,
+    kmeans,
+    sse,
+)
+
+# The package re-exports the function ``kmeans``, which shadows the module.
+kmeans_module = import_module("iescluster.kmeans")
 
 
 def exhaustive_optimum(data, k):
@@ -133,3 +143,124 @@ class TestKMeans:
             if result.sse <= optimum + 1e-9 * max(1, optimum):
                 hits += 1
         assert hits >= 0.8 * 40
+
+
+def count_exact_rows(monkeypatch):
+    """Wrap ``_nearest_exact`` so each call records the rows it received."""
+    calls = []
+
+    def counted(x, centroids):
+        calls.append(x.copy())
+        return _nearest_exact(x, centroids)
+
+    monkeypatch.setattr(kmeans_module, "_nearest_exact", counted)
+    return calls
+
+
+class TestCertifiedNearest:
+    """``_nearest`` (GEMM form, certified per row) against its oracle, the
+    difference form ``_nearest_exact``: assignments must agree bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 300),
+        st.integers(1, 40),
+        st.integers(1, 200),
+        # The ends of the range come up often, so squared scales below
+        # tiny/eps (2^-500) and overflowing ones (2^500 * 2^24) both occur.
+        st.integers(-500, 500) | st.sampled_from([-500, 500]),
+        st.sampled_from([-24, 0, 24]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_difference_form(self, n, k, d, s, spread, grid, seed):
+        rng = np.random.default_rng(seed)
+        # Small integers give many exact and near ties between centroids.
+        x = rng.integers(-3, 4, (n, d)) if grid else rng.normal(0.0, 1.0, (n, d))
+        x = x * 2.0**spread
+        # Rows copied as centroids (zero-distance ties), random centroids,
+        # then a duplicate of each earlier centroid with probability 1/3.
+        copied = x[rng.integers(0, n, k)]
+        fresh = rng.normal(0.0, 1.0, (k, d)) * np.max(np.abs(x))
+        c = np.where(rng.random((k, 1)) < 0.5, copied, fresh)
+        for j in range(1, k):
+            if rng.random() < 1 / 3:
+                c[j] = c[rng.integers(0, j)]
+        x, c = np.ldexp(x, s), np.ldexp(c, s)
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            got = _nearest(x, c)
+            want = _nearest_exact(x, c)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        # Exact ties go to the lowest id: no point picks a later duplicate.
+        first = [int(np.flatnonzero((c == c[j]).all(axis=1))[0]) for j in range(k)]
+        assert all(first[j] == j for j in np.unique(got))
+
+    def test_near_tie_takes_exact_path(self, monkeypatch):
+        # Row 0 lies 2^-50 past the midpoint of the centroids: its squared
+        # distances differ by 2^-49, below the slack (40 eps, about 2^-47),
+        # so only that row is recomputed.
+        x = np.array([[0.5 + 2.0**-50], [0.1]])
+        c = np.array([[0.0], [1.0]])
+        calls = count_exact_rows(monkeypatch)
+        assert _nearest(x, c).tolist() == [1, 0]
+        assert len(calls) == 1
+        assert np.array_equal(calls[0], x[:1])
+
+    def test_clear_rows_skip_exact_path(self, monkeypatch, rng):
+        x = rng.normal(0.0, 1.0, (50, 3))
+        c = np.array([[10.0, 0, 0], [-10.0, 0, 0]])
+        calls = count_exact_rows(monkeypatch)
+        assert np.array_equal(_nearest(x, c), _nearest_exact(x, c))
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "x, c",
+        [
+            # 8 apart from both centroids at 2^-540: the squares are
+            # subnormal, and the inner-product form's rounding breaks the tie
+            # towards centroid 1.
+            (np.ldexp([[21.0]], -540), np.ldexp([[13.0], [29.0]], -540)),
+            # S above max/4: both difference-form distances overflow to inf (a
+            # tie, so centroid 0), while the inner-product form ranks c_1 first.
+            (np.ldexp([[0.3]], 512), np.ldexp([[-0.75], [-0.72]], 512)),
+        ],
+    )
+    def test_scales_outside_window_take_exact_path(self, monkeypatch, x, c):
+        calls = count_exact_rows(monkeypatch)
+        with np.errstate(over="ignore"):
+            assert _nearest(x, c).tolist() == [0]
+        assert len(calls) == 1
+
+    def test_nan_gap_takes_exact_path(self):
+        # |c_0|^2 and 2 x.c_0 overflow, so h_0 is inf - inf = NaN and wins
+        # argmin; only the difference form sees that c_1 is nearer.
+        x = np.ldexp(np.array([[1.0]]), 511)
+        c = np.ldexp(np.array([[3.0], [1.5]]), 511)
+        with np.errstate(over="ignore"):
+            want = _nearest_exact(x, c)
+            assert want.tolist() == [1]
+            assert _nearest(x, c).tolist() == [1]
+
+    @pytest.mark.parametrize(
+        "make, k",
+        [
+            (lambda r: r.normal(0.0, 1.0, (300, 5)), 12),
+            (lambda r: r.integers(0, 3, (200, 4)).astype(float), 20),
+            # Unit rows in 60-d, like an NJW embedding with a large k.
+            (lambda r: (lambda v: v / np.linalg.norm(v, axis=1)[:, None])(
+                np.repeat(r.normal(0.0, 1.0, (80, 60)), 5, axis=0)
+                + r.normal(0.0, 1e-3, (400, 60))), 60),
+        ],
+    )
+    def test_kmeans_matches_exact_assignment_step(self, monkeypatch, make, k):
+        data = make(np.random.default_rng(k))
+        fast = kmeans(data, k, seed=3)
+        monkeypatch.setattr(kmeans_module, "_nearest", _nearest_exact)
+        exact = kmeans(data, k, seed=3)
+        assert np.array_equal(fast.assignments, exact.assignments)
+        assert np.array_equal(fast.centroids, exact.centroids)
+        assert fast.sse == exact.sse
+        assert fast.iterations == exact.iterations
+        assert fast.converged == exact.converged
+        assert fast.sse_history == exact.sse_history

@@ -73,6 +73,32 @@ class TestSymmetricEigen:
         assert np.array_equal(e1.values, e2.values)
         assert np.array_equal(e1.vectors, e2.vectors)
 
+    def test_symmetric_input_decomposed_without_copy(self, rng, monkeypatch):
+        a = rng.normal(0, 1, (8, 8))
+        a = (a + a.T) / 2
+        seen = []
+        eigh = np.linalg.eigh
+
+        def spy(m):
+            seen.append(m)
+            return eigh(m)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        symmetric_eigen(a)
+        assert len(seen) == 1 and seen[0] is a
+
+    def test_nearly_symmetric_input_is_averaged(self, rng):
+        a = rng.normal(0, 1, (8, 8))
+        a = (a + a.T) / 2
+        a[5, 2] += 1e-12  # defect below the tolerance, lower triangle only
+        eig = symmetric_eigen(a)
+        avg = symmetric_eigen((a + a.T) / 2)
+        assert np.array_equal(eig.values, avg.values)
+        assert np.array_equal(eig.vectors, avg.vectors)
+        # eigh reads one triangle: skipping the average would change the bits.
+        lower = symmetric_eigen(np.tril(a) + np.tril(a, -1).T)
+        assert not np.array_equal(eig.values, lower.values)
+
     @settings(max_examples=50, deadline=None)
     @given(symmetric_matrices())
     def test_residual_orthonormality_and_order(self, a):
