@@ -27,7 +27,6 @@ from .errors import (
     exit_code_for,
 )
 from .ies import (
-    POOL_NODE_LIMIT,
     ClusteringOutcome,
     IesConfig,
     els_cluster,
@@ -273,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--distance-exponent", type=int, choices=(1, 2))
     p_run.add_argument("--seed", type=int, dest="master_seed")
     p_run.add_argument("--workers", type=int, dest="n_workers",
-                       help="worker threads for the nodes of one tree level; nodes "
-                            f"of {POOL_NODE_LIMIT}+ points run one at a time")
+                       help="accepted and ignored: nodes run on one thread, and "
+                            "BLAS already uses every core")
 
     p_elbow = sub.add_parser("elbow", help="write a k,sse elbow curve as CSV",
                              argument_default=argparse.SUPPRESS)

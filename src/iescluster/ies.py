@@ -12,9 +12,8 @@ NJW run with a caller-supplied cluster count.
 
 from __future__ import annotations
 
+import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,16 +124,15 @@ def node_seed(master_seed: int, path: tuple) -> int:
 class _NodeStep:
     """What processing one node decided: a leaf reason or an ordered split.
 
-    ``child_final_reasons[i]`` is None for children that still need
-    processing and a leaf reason for children that are already final
-    (ejected isolated points).
+    ``children`` holds (members, reason) pairs. The reason is None for
+    children that still need processing and a leaf reason for children that
+    are already final (ejected isolated points).
     """
 
     sigma: ScalingEstimate | None = None
     estimated_k: int | None = None
     leaf_reason: str | None = None
-    child_members: list[np.ndarray] = field(default_factory=list)
-    child_final_reasons: list[str | None] = field(default_factory=list)
+    children: list[tuple[np.ndarray, str | None]] = field(default_factory=list)
 
 
 def _estimate_node_sigma(
@@ -169,16 +167,10 @@ def _split_spectrum(
     except IsolatedPointsError as err:
         iso = np.asarray(err.indices, dtype=int)
         rest = np.setdiff1d(np.arange(n), iso)
-        child_members = [np.array([i]) for i in iso]
-        child_reasons: list[str | None] = [LEAF_ISOLATED] * len(iso)
+        children = [(np.array([i]), LEAF_ISOLATED) for i in iso]
         if rest.size:
-            child_members.append(rest)
-            child_reasons.append(None)
-        return _NodeStep(
-            sigma=sigma,
-            child_members=child_members,
-            child_final_reasons=child_reasons,
-        )
+            children.append((rest, None))
+        return _NodeStep(sigma=sigma, children=children)
 
     if k_override is None:
         k = eigengap_k(eig.values, config.search_fraction).k
@@ -196,13 +188,36 @@ def _split_spectrum(
     )
     if km.n_clusters <= 1:
         return _NodeStep(sigma=sigma, estimated_k=k, leaf_reason=LEAF_SPLIT_COLLAPSE)
-    child_members = [np.nonzero(km.assignments == c)[0] for c in range(km.n_clusters)]
-    return _NodeStep(
-        sigma=sigma,
-        estimated_k=k,
-        child_members=child_members,
-        child_final_reasons=[None] * km.n_clusters,
-    )
+    children = [(np.nonzero(km.assignments == c)[0], None) for c in range(km.n_clusters)]
+    return _NodeStep(sigma=sigma, estimated_k=k, children=children)
+
+
+def _node_step(
+    data: np.ndarray,
+    members: np.ndarray,
+    mode: str,
+    config: IesConfig,
+    seed: int,
+    k_override: int | None = None,
+    sigma: ScalingEstimate | None = None,
+) -> _NodeStep:
+    """Scale, spectrum, eigengap and split for one set of member points.
+
+    ``sigma``, when given, replaces the node's own scale estimate. Child
+    member arrays of the returned step are root indices.
+    """
+    sub = data[members]
+    if np.all(sub == sub[0]):
+        return _NodeStep(leaf_reason=LEAF_DEGENERATE)
+    distances = None
+    if sigma is None:
+        try:
+            sigma, distances = _estimate_node_sigma(sub, mode, config)
+        except DegenerateDataError:
+            return _NodeStep(leaf_reason=LEAF_DEGENERATE)
+    step = _split_spectrum(sub, sigma, config, seed, k_override, distances)
+    step.children = [(members[idx], reason) for idx, reason in step.children]
+    return step
 
 
 def _process_node(
@@ -213,22 +228,12 @@ def _process_node(
     config: IesConfig,
     seed: int,
 ) -> _NodeStep:
-    """One round of the search on a tree node: scale, spectrum, eigengap, split."""
-    n = members.shape[0]
-    if n < config.min_node_size:
+    """One tree node: the size and depth gates, then the node step."""
+    if members.shape[0] < config.min_node_size:
         return _NodeStep(leaf_reason=LEAF_MIN_SIZE)
     if depth >= config.depth_cap:
         return _NodeStep(leaf_reason=LEAF_DEPTH_CAP)
-    sub = data[members]
-    if np.all(sub == sub[0]):
-        return _NodeStep(leaf_reason=LEAF_DEGENERATE)
-    try:
-        sigma, distances = _estimate_node_sigma(sub, mode, config)
-    except DegenerateDataError:
-        return _NodeStep(leaf_reason=LEAF_DEGENERATE)
-    step = _split_spectrum(sub, sigma, config, seed, distances=distances)
-    step.child_members = [members[idx] for idx in step.child_members]
-    return step
+    return _node_step(data, members, mode, config, seed)
 
 
 @dataclass
@@ -255,9 +260,7 @@ def _record_step(
     )
     records[path] = node
     to_process = []
-    for pos, (child, reason) in enumerate(
-        zip(step.child_members, step.child_final_reasons)
-    ):
+    for pos, (child, reason) in enumerate(step.children):
         child_path = path + (pos,)
         node.child_paths.append(child_path)
         if reason is not None:
@@ -315,35 +318,6 @@ def _validated_data(data) -> np.ndarray:
     return as_matrix(x)
 
 
-# Nodes of at least this many points are processed one at a time on the
-# calling thread, even with n_workers > 1; only smaller nodes go to the
-# worker threads. A large node's eigensolve already keeps every core busy in
-# BLAS. Its freed n x n buffers would also stay resident in the malloc arena
-# of whichever worker thread ran it (glibc keeps a free arena top of up to
-# twice the largest block freed so far), so the peak resident memory of a
-# threaded run would depend on how the nodes happened to be shared out: on
-# 1200 points it read either about 130 or about 154 MB from run to run.
-POOL_NODE_LIMIT = 256
-
-
-def _map_level(process, level: list, pool) -> list:
-    """Steps for one level's work items, in level order.
-
-    Without a pool every item runs on the calling thread. With one, the
-    items smaller than ``POOL_NODE_LIMIT`` points are submitted to it first,
-    and the calling thread processes the larger ones, in level order, while
-    the workers run.
-    """
-    if pool is None:
-        return [process(item) for item in level]
-    futures = [
-        pool.submit(process, item) if item[1].size < POOL_NODE_LIMIT else None
-        for item in level
-    ]
-    steps = [process(item) if fut is None else None for item, fut in zip(level, futures)]
-    return [step if fut is None else fut.result() for step, fut in zip(steps, futures)]
-
-
 def ies_cluster(
     data,
     mode: str,
@@ -354,12 +328,13 @@ def ies_cluster(
     """Level-by-level divisive search; leaves are the final clusters.
 
     ``mode`` selects per-node scaling: "global" (PCA-based) or "local"
-    (k-nearest-neighbor). With ``n_workers`` > 1, the nodes of a level
-    smaller than ``POOL_NODE_LIMIT`` points are processed by ``n_workers``
-    threads while the calling thread processes the larger ones; results are
-    identical to the sequential run because every node's seed derives from
-    its path and nodes are numbered canonically afterwards, so traversal
-    order cannot change the output.
+    (k-nearest-neighbor). ``n_workers`` is accepted and ignored: every node
+    runs on the calling thread. A thread pool over the nodes of a level won
+    on no benchmark workload, because the eigensolve and the distance
+    products already keep every core busy in BLAS, and it was the slowest
+    path on 200-feature data. Each node's seed derives from its path and
+    nodes are numbered canonically afterwards, so traversal order cannot
+    change the output.
     """
     if mode not in ("global", "local"):
         raise InvalidParameterError(f"mode must be 'global' or 'local', got {mode!r}")
@@ -367,24 +342,18 @@ def ies_cluster(
     x = _validated_data(data)
     n = x.shape[0]
 
-    def process(item: tuple[tuple, np.ndarray, int]) -> _NodeStep:
-        path, members, depth = item
-        return _process_node(
-            x, members, depth, mode, config, node_seed(master_seed, path)
-        )
-
     start = time.perf_counter()
     records: dict[tuple, _PathNode] = {}
     level = [((), np.arange(n), 0)]
-    # One worker maps on the calling thread: a one-thread pool would give the
-    # worker its own malloc arena and raise peak RSS for nothing.
-    with ThreadPoolExecutor(n_workers) if n_workers > 1 else nullcontext() as pool:
-        while level:
-            level = [
-                child
-                for item, step in zip(level, _map_level(process, level, pool))
-                for child in _record_step(records, *item, step)
-            ]
+    while level:
+        level = [
+            child
+            for path, members, depth in level
+            for child in _record_step(
+                records, path, members, depth,
+                _process_node(x, members, depth, mode, config, node_seed(master_seed, path)),
+            )
+        ]
 
     runtime_ms = (time.perf_counter() - start) * 1000.0
     label = "ies-global" if mode == "global" else "ies-local"
@@ -403,8 +372,8 @@ def _single_round(
     """One pass of scale -> spectrum -> split; children are final clusters.
 
     Isolated points are ejected as singleton leaves and the round repeats on
-    the remainder, still attaching every final cluster directly to the root
-    (the tree stays depth one).
+    the remainder, with the seed of path ``(round_index,)``, still attaching
+    every final cluster directly to the root (the tree stays depth one).
     """
     x = _validated_data(data)
     n = x.shape[0]
@@ -412,73 +381,39 @@ def _single_round(
         raise InsufficientDataError(f"single-round modes need at least 2 points, got {n}")
 
     start = time.perf_counter()
-    records: dict[tuple, _PathNode] = {}
-    root = _PathNode(members=np.arange(n), depth=0)
-    records[()] = root
-
-    def attach_final(pos: int, child: np.ndarray, reason: str) -> None:
-        path = (pos,)
-        records[path] = _PathNode(members=child, depth=1, leaf_reason=reason)
-        root.child_paths.append(path)
-
+    root = _NodeStep()
     members = np.arange(n)
-    pos = 0
-    round_index = 0
-    while True:
-        sub = x[members]
-        if np.all(sub == sub[0]):
-            step = _NodeStep(leaf_reason=LEAF_DEGENERATE)
-        else:
-            try:
-                round_sigma, distances = (
-                    (sigma, None) if sigma is not None
-                    else _estimate_node_sigma(sub, scaling_mode, config)
-                )
-                step = _split_spectrum(
-                    sub,
-                    round_sigma,
-                    config,
-                    node_seed(master_seed, (round_index,)),
-                    k_override=k_override,
-                    distances=distances,
-                )
-                step.child_members = [members[idx] for idx in step.child_members]
-            except DegenerateDataError:
-                step = _NodeStep(leaf_reason=LEAF_DEGENERATE)
+    for round_index in itertools.count():
+        step = _node_step(
+            x, members, scaling_mode, config, node_seed(master_seed, (round_index,)),
+            k_override, sigma,
+        )
         if root.sigma is None:
             root.sigma = step.sigma
         if root.estimated_k is None:
             root.estimated_k = step.estimated_k
-
         if step.leaf_reason is not None:
-            if pos == 0:
-                # Nothing split off yet: the root itself is the single cluster.
+            if round_index == 0:
+                # Nothing split off: the root itself is the single cluster.
                 root.leaf_reason = step.leaf_reason
             else:
-                attach_final(pos, members, step.leaf_reason)
+                root.children.append((members, step.leaf_reason))
+            break
+        # After a regular split every part is a final cluster of the one-pass
+        # tree; after an ejection the isolated singletons are, and the round
+        # reruns on the rest.
+        ejecting = any(reason == LEAF_ISOLATED for _, reason in step.children)
+        members = None
+        for child, reason in step.children:
+            if ejecting and reason is None:
+                members = child
+            else:
+                root.children.append((child, reason or LEAF_SINGLE_PASS))
+        if members is None:
             break
 
-        if any(r == LEAF_ISOLATED for r in step.child_final_reasons):
-            # Eject the isolated singletons, then rerun the round on the rest.
-            rest = None
-            for child, reason in zip(step.child_members, step.child_final_reasons):
-                if reason is None:
-                    rest = child
-                else:
-                    attach_final(pos, child, reason)
-                    pos += 1
-            if rest is None:
-                break
-            members = rest
-            round_index += 1
-            continue
-
-        # Regular split: every part is a final cluster of the one-pass tree.
-        for child in step.child_members:
-            attach_final(pos, child, LEAF_SINGLE_PASS)
-            pos += 1
-        break
-
+    records: dict[tuple, _PathNode] = {}
+    _record_step(records, (), np.arange(n), 0, root)
     runtime_ms = (time.perf_counter() - start) * 1000.0
     return _assemble(records, n, mode_label, runtime_ms, master_seed)
 

@@ -135,29 +135,23 @@ class TestIesTree:
                 assert np.array_equal(a.member_indices, b.member_indices)
                 assert a.leaf_reason == b.leaf_reason
 
-    def test_large_nodes_run_on_calling_thread(self, monkeypatch):
-        # A low limit puts the root and its large children on the calling
-        # thread and the rest in the pool; the tree must not change.
+    def test_workers_ignored_every_node_on_calling_thread(self, monkeypatch):
         ds = nested_scale_dataset(n_per_group=60, seed=5)
-        monkeypatch.setattr(ies_module, "POOL_NODE_LIMIT", 100)
         threads = []
         original = ies_module._process_node
 
         def recorded(x, members, *args):
-            threads.append((members.size, threading.get_ident()))
+            threads.append(threading.get_ident())
             return original(x, members, *args)
 
         monkeypatch.setattr(ies_module, "_process_node", recorded)
-        caller = threading.get_ident()
         for mode in ("global", "local"):
-            threads.clear()
             seq = ies_cluster(ds.features, mode, master_seed=0, n_workers=1)
-            par = ies_cluster(ds.features, mode, master_seed=0, n_workers=2)
-            par_threads = threads[len(threads) // 2 :]
-            assert any(size >= 100 for size, _ in par_threads)
-            assert any(size < 100 for size, _ in par_threads)
-            for size, ident in par_threads:
-                assert (ident == caller) == (size >= 100)
+            threads.clear()
+            par = ies_cluster(ds.features, mode, master_seed=0, n_workers=4)
+            # Every node but the ejected singletons goes through the node step.
+            assert len(threads) == sum(n.leaf_reason != "isolated" for n in par.nodes)
+            assert set(threads) == {threading.get_ident()}
             assert np.array_equal(seq.leaf_assignments, par.leaf_assignments)
             assert [(a.id, a.children, a.leaf_reason) for a in seq.nodes] == [
                 (b.id, b.children, b.leaf_reason) for b in par.nodes
@@ -227,6 +221,53 @@ class TestSingleRoundModes:
         assert partition_of(out.leaf_assignments) == partition_of(
             np.repeat([0, 1, 2], [20, 20, 1])
         )
+
+    def test_ejection_then_rerun_tree(self, rng, monkeypatch):
+        # Round 0 ejects the point at -47 and carries sigma but no k; round 1
+        # reruns on the rest with the seed of path (1,) and splits it in two.
+        data = np.concatenate(
+            [rng.uniform(-0.05, 0.05, 20), rng.uniform(9.95, 10.05, 20), [-47.0]]
+        )[:, None]
+        seeds = []
+        original = ies_module.kmeans
+
+        def recorded(embedding, k, seed, **kwargs):
+            seeds.append(seed)
+            return original(embedding, k, seed, **kwargs)
+
+        monkeypatch.setattr(ies_module, "kmeans", recorded)
+        sigma = manual_global_sigma(1.5)
+        out = legacy_eigengap_cluster(data, master_seed=0, sigma=sigma)
+        assert seeds == [node_seed(0, (1,))]
+        assert out.root.sigma == sigma
+        assert out.root.estimated_k == 2
+        assert out.root.leaf_reason is None
+        children = [out.nodes[i] for i in out.root.children]
+        assert [(c.depth, c.leaf_reason) for c in children] == [
+            (1, "isolated"), (1, "single-pass"), (1, "single-pass")
+        ]
+        assert [c.member_indices.tolist() for c in children] == [
+            [40], list(range(20)), list(range(20, 40))
+        ]
+        assert len(out.nodes) == 4
+        # With a scale estimated per round, the root keeps round 0's.
+        els = els_cluster(data, master_seed=0)
+        assert els.nodes[els.root.children[0]].leaf_reason == "isolated"
+        assert els.root.sigma.local_sigmas.shape == (41,)
+
+    def test_rerun_ending_in_leaf_attaches_rest(self, rng):
+        data = np.concatenate([rng.uniform(-0.05, 0.05, 20), [-47.0]])[:, None]
+        sigma = manual_global_sigma(1.5)
+        out = legacy_eigengap_cluster(data, master_seed=0, sigma=sigma)
+        assert out.root.leaf_reason is None
+        assert out.root.sigma == sigma
+        assert out.root.estimated_k == 1
+        children = [out.nodes[i] for i in out.root.children]
+        assert [(c.depth, c.leaf_reason) for c in children] == [
+            (1, "isolated"), (1, "eigengap-one")
+        ]
+        assert [c.member_indices.tolist() for c in children] == [[20], list(range(20))]
+        assert len(out.nodes) == 3
 
     def test_njw_outcome_depth_one_tree(self):
         data, labels = separated_blobs((10, 12), separation=70.0, spread=0.1, seed=9)
