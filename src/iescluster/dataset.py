@@ -39,7 +39,7 @@ def _coerce_labels(raw: list[str]) -> np.ndarray:
 
 
 def load_dataset(path, label_column=None, has_header: bool = False) -> Dataset:
-    """Parse a rectangular numeric CSV, splitting off an optional label column.
+    """Parse a rectangular numeric UTF-8 CSV, splitting off an optional label column.
 
     ``label_column`` may be a 0-based column index or, with a header, a column
     name (a name implies ``has_header``). Ragged rows and non-numeric or
@@ -49,8 +49,11 @@ def load_dataset(path, label_column=None, has_header: bool = False) -> Dataset:
     if label_by_name:
         has_header = True
 
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh)]
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = [row for row in csv.reader(fh)]
+    except UnicodeDecodeError as err:
+        raise InvalidDataError(f"{path}: not UTF-8 text: {err}") from err
     rows = [row for row in rows if row and any(cell.strip() for cell in row)]
     if not rows:
         raise InvalidDataError(f"{path}: empty file")
@@ -126,7 +129,7 @@ def _is_int(text: str) -> bool:
 def save_dataset(dataset: Dataset, path) -> None:
     """Write features (and the label column, when present) as CSV with header."""
     names = dataset.feature_names or tuple(f"f{j}" for j in range(dataset.m))
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         header = list(names) + ([dataset.label_name or "label"] if dataset.labels is not None else [])
         writer.writerow(header)

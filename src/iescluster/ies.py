@@ -3,7 +3,8 @@
 Every node re-estimates its scaling parameter from its own member points,
 estimates a cluster count from the eigengap of its normalized Laplacian, and
 either stops (count one) or splits via spectral clustering and recurses on
-the children. Leaves are the final clusters.
+the children. Leaves are the final clusters. Nodes are created depth-first,
+children in position order, and each takes its final id as it is created.
 
 Single-round variants live here too: ELS (one pass with local scaling),
 the legacy eigengap baseline (one pass with global scaling), and a plain
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +45,9 @@ LEAF_SINGLE_PASS = "single-pass"  # accepted as final by a one-round mode
 
 @dataclass(frozen=True)
 class IesConfig:
-    """Knobs for the tree search and its building blocks."""
+    """Knobs for the tree search: scale estimation, the eigengap search
+    limit, the size and depth gates, and the distance exponent. k-means
+    runs with its fixed iteration cap, tolerance and restarts."""
 
     variance_threshold: float = 0.95
     knn_k: int = 7
@@ -51,8 +55,6 @@ class IesConfig:
     min_node_size: int = 5
     depth_cap: int = 32
     distance_exponent: int = 2
-    kmeans_max_iter: int = 300
-    kmeans_tol: float = 1e-8
 
     def __post_init__(self):
         if not 0.0 < self.variance_threshold <= 1.0:
@@ -183,9 +185,7 @@ def _split_spectrum(
         embedding = row_normalize(eig.vectors[:, :k])
     except DegenerateEmbeddingError:
         return _NodeStep(sigma=sigma, estimated_k=k, leaf_reason=LEAF_DEGENERATE)
-    km = kmeans(
-        embedding, k, seed, max_iter=config.kmeans_max_iter, tol=config.kmeans_tol
-    )
+    km = kmeans(embedding, k, seed)
     if km.n_clusters <= 1:
         return _NodeStep(sigma=sigma, estimated_k=k, leaf_reason=LEAF_SPLIT_COLLAPSE)
     children = [(np.nonzero(km.assignments == c)[0], None) for c in range(km.n_clusters)]
@@ -236,79 +236,39 @@ def _process_node(
     return _node_step(data, members, mode, config, seed)
 
 
-@dataclass
-class _PathNode:
-    members: np.ndarray
-    depth: int
-    sigma: ScalingEstimate | None = None
-    estimated_k: int | None = None
-    leaf_reason: str | None = None
-    child_paths: list[tuple] = field(default_factory=list)
+def _build_tree(
+    n: int, process: Callable[[tuple, np.ndarray, int], _NodeStep]
+) -> tuple[list[ClusterTreeNode], np.ndarray]:
+    """Grow the tree depth-first from a root over all n points; return its
+    nodes and every point's leaf id.
 
-
-def _record_step(
-    records: dict, path: tuple, members: np.ndarray, depth: int, step: _NodeStep
-) -> list[tuple[tuple, np.ndarray, int]]:
-    """Store a processed node and its already-final children; return the
-    (path, members, depth) work items for children that need processing."""
-    node = _PathNode(
-        members=members,
-        depth=depth,
-        sigma=step.sigma,
-        estimated_k=step.estimated_k,
-        leaf_reason=step.leaf_reason,
-    )
-    records[path] = node
-    to_process = []
-    for pos, (child, reason) in enumerate(step.children):
-        child_path = path + (pos,)
-        node.child_paths.append(child_path)
-        if reason is not None:
-            records[child_path] = _PathNode(
-                members=child, depth=depth + 1, leaf_reason=reason
-            )
-        else:
-            to_process.append((child_path, child, depth + 1))
-    return to_process
-
-
-def _assemble(
-    records: dict, n: int, mode: str, runtime_ms: float, master_seed: int
-) -> ClusteringOutcome:
-    """Number nodes canonically (depth-first over child positions) and map
-    every point to its leaf id."""
-    order: list[tuple] = []
-    stack = [()]
-    while stack:
-        path = stack.pop()
-        order.append(path)
-        stack.extend(reversed(records[path].child_paths))
-    ids = {path: i for i, path in enumerate(order)}
-    nodes = []
-    for path in order:
-        rec = records[path]
-        nodes.append(
-            ClusterTreeNode(
-                id=ids[path],
-                member_indices=rec.members,
-                depth=rec.depth,
-                sigma=rec.sigma,
-                estimated_k=rec.estimated_k,
-                children=[ids[p] for p in rec.child_paths],
-                leaf_reason=rec.leaf_reason,
-            )
-        )
+    ``process(path, members, depth)`` decides each node that is not already
+    final. Each node takes the next id as it is created, and children are
+    pushed in reverse so they pop in position order: the ids are the
+    depth-first numbering over child positions, with no renumbering pass.
+    """
+    nodes: list[ClusterTreeNode] = []
     assignments = np.full(n, -1, dtype=int)
-    for node in nodes:
-        if node.is_leaf:
-            assignments[node.member_indices] = node.id
-    return ClusteringOutcome(
-        nodes=nodes,
-        leaf_assignments=assignments,
-        mode=mode,
-        runtime_ms=runtime_ms,
-        master_seed=master_seed,
-    )
+    stack = [((), np.arange(n), 0, None, None)]
+    while stack:
+        path, members, depth, parent_id, final_reason = stack.pop()
+        node = ClusterTreeNode(
+            id=len(nodes), member_indices=members, depth=depth, leaf_reason=final_reason
+        )
+        nodes.append(node)
+        if parent_id is not None:
+            nodes[parent_id].children.append(node.id)
+        children = []
+        if final_reason is None:
+            step = process(path, members, depth)
+            node.sigma, node.estimated_k = step.sigma, step.estimated_k
+            node.leaf_reason, children = step.leaf_reason, step.children
+        if not children:
+            assignments[members] = node.id
+        for pos in reversed(range(len(children))):
+            child, reason = children[pos]
+            stack.append((path + (pos,), child, depth + 1, node.id, reason))
+    return nodes, assignments
 
 
 def _validated_data(data) -> np.ndarray:
@@ -325,16 +285,16 @@ def ies_cluster(
     master_seed: int = 0,
     n_workers: int = 1,
 ) -> ClusteringOutcome:
-    """Level-by-level divisive search; leaves are the final clusters.
+    """Depth-first divisive search; leaves are the final clusters.
 
     ``mode`` selects per-node scaling: "global" (PCA-based) or "local"
     (k-nearest-neighbor). ``n_workers`` is accepted and ignored: every node
     runs on the calling thread. A thread pool over the nodes of a level won
     on no benchmark workload, because the eigensolve and the distance
     products already keep every core busy in BLAS, and it was the slowest
-    path on 200-feature data. Each node's seed derives from its path and
-    nodes are numbered canonically afterwards, so traversal order cannot
-    change the output.
+    path on 200-feature data. Each node's seed derives from its path, so no
+    result depends on the traversal order, and nodes are created depth-first
+    in their final numbering.
     """
     if mode not in ("global", "local"):
         raise InvalidParameterError(f"mode must be 'global' or 'local', got {mode!r}")
@@ -343,21 +303,15 @@ def ies_cluster(
     n = x.shape[0]
 
     start = time.perf_counter()
-    records: dict[tuple, _PathNode] = {}
-    level = [((), np.arange(n), 0)]
-    while level:
-        level = [
-            child
-            for path, members, depth in level
-            for child in _record_step(
-                records, path, members, depth,
-                _process_node(x, members, depth, mode, config, node_seed(master_seed, path)),
-            )
-        ]
-
+    nodes, assignments = _build_tree(
+        n,
+        lambda path, members, depth: _process_node(
+            x, members, depth, mode, config, node_seed(master_seed, path)
+        ),
+    )
     runtime_ms = (time.perf_counter() - start) * 1000.0
     label = "ies-global" if mode == "global" else "ies-local"
-    return _assemble(records, n, label, runtime_ms, master_seed)
+    return ClusteringOutcome(nodes, assignments, label, runtime_ms, master_seed)
 
 
 def _single_round(
@@ -412,10 +366,9 @@ def _single_round(
         if members is None:
             break
 
-    records: dict[tuple, _PathNode] = {}
-    _record_step(records, (), np.arange(n), 0, root)
+    nodes, assignments = _build_tree(n, lambda *_: root)
     runtime_ms = (time.perf_counter() - start) * 1000.0
-    return _assemble(records, n, mode_label, runtime_ms, master_seed)
+    return ClusteringOutcome(nodes, assignments, mode_label, runtime_ms, master_seed)
 
 
 def els_cluster(

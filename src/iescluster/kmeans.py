@@ -2,7 +2,7 @@
 
 Initialization is greedy farthest-point: a seeded pseudo-random first
 centroid, then each further centroid is the point farthest from the chosen
-set (ties to the lowest index). A few such restarts (their first picks drawn
+set (ties to the lowest index). Four such restarts (their first picks drawn
 in sequence from the same seeded generator) are run and the lowest-SSE
 result kept, so the outcome is a pure function of (data, k, seed). For a
 fixed seed the candidate starting points are identical for every k, which
@@ -24,6 +24,10 @@ import numpy as np
 
 from .errors import DimensionError, InvalidParameterError
 from .linalg import as_matrix
+
+_MAX_ITER = 300
+_TOL = 1e-8  # on the largest centroid movement of one pass
+_RESTARTS = 4
 
 
 @dataclass(frozen=True)
@@ -144,11 +148,11 @@ def _nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return best
 
 
-def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float) -> KMeansResult:
+def _lloyd(x: np.ndarray, centroids: np.ndarray) -> KMeansResult:
     history: list[float] = []
     iterations = 0
     converged = False
-    while iterations < max_iter:
+    while iterations < _MAX_ITER:
         iterations += 1
         assign = _nearest(x, centroids)
         history.append(sse(x, assign, centroids))
@@ -166,7 +170,7 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float) -> K
             continue
         movement = float(np.max(np.sqrt(np.sum((means - centroids) ** 2, axis=1))))
         centroids = means
-        if movement < tol:
+        if movement < _TOL:
             converged = True
             break
 
@@ -188,16 +192,8 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, max_iter: int, tol: float) -> K
     )
 
 
-def kmeans(
-    data,
-    k: int,
-    seed: int,
-    max_iter: int = 300,
-    tol: float = 1e-8,
-    init_centroids=None,
-    n_restarts: int = 4,
-) -> KMeansResult:
-    """Lloyd iteration until centroid movement < tol or max_iter passes.
+def kmeans(data, k: int, seed: int, init_centroids=None) -> KMeansResult:
+    """Lloyd iteration until no centroid moves by 1e-8 or more, or 300 passes.
 
     Clusters that lose all members are dropped, so the effective number of
     clusters can shrink; final assignments are renumbered densely. The result
@@ -211,20 +207,18 @@ def kmeans(
         raise InvalidParameterError(f"k must be at least 1, got {k}")
     if k > n:
         raise InvalidParameterError(f"k={k} exceeds number of points n={n}")
-    if n_restarts < 1:
-        raise InvalidParameterError(f"n_restarts must be at least 1, got {n_restarts}")
 
     if init_centroids is not None:
         centroids = as_matrix(init_centroids).copy()
         if centroids.shape[1] != x.shape[1]:
             raise DimensionError("init_centroids dimension mismatch")
-        return _lloyd(x, centroids, max_iter, tol)
+        return _lloyd(x, centroids)
 
     rng = np.random.default_rng(seed)
     best: KMeansResult | None = None
-    for _ in range(n_restarts):
+    for _ in range(_RESTARTS):
         start = int(rng.integers(n))
-        result = _lloyd(x, farthest_point_init(x, k, start), max_iter, tol)
+        result = _lloyd(x, farthest_point_init(x, k, start))
         if best is None or result.sse < best.sse:
             best = result
     return best

@@ -77,12 +77,10 @@ def njw_cluster(
     scaling: ScalingEstimate,
     seed: int,
     distance_exponent: int = 2,
-    max_iter: int = 300,
-    tol: float = 1e-8,
 ) -> np.ndarray:
     """Full pipeline on raw data; point i gets the cluster of embedding row i.
 
     Isolated-point and degenerate-embedding errors propagate to the caller.
     """
     embedding = _top_k_rows(node_spectrum(data, scaling, distance_exponent), k)
-    return kmeans(embedding, k, seed, max_iter=max_iter, tol=tol).assignments
+    return kmeans(embedding, k, seed).assignments

@@ -65,9 +65,11 @@ def make_spec(groups, dims: int, seed: int = 0, noise_sd: float = 0.0) -> Synthe
 
 
 def spec_from_json(path) -> SyntheticSpec:
-    with open(path) as fh:
-        raw = json.load(fh)
+    """Read a layout file; malformed content raises InvalidParameterError
+    naming the file."""
     try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
         return make_spec(
             raw["groups"],
             dims=raw["dims"],
@@ -75,7 +77,9 @@ def spec_from_json(path) -> SyntheticSpec:
             noise_sd=raw.get("noise_sd", 0.0),
         )
     except KeyError as err:
-        raise InvalidParameterError(f"synthetic spec missing key {err}") from err
+        raise InvalidParameterError(f"{path}: synthetic spec missing key {err}") from err
+    except (TypeError, ValueError, OverflowError) as err:
+        raise InvalidParameterError(f"{path}: malformed synthetic spec: {err}") from err
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

@@ -174,8 +174,6 @@ def elbow_sweep(
     seed: int,
     distance_exponent: int = 2,
     space: str = "embedding",
-    max_iter: int = 300,
-    tol: float = 1e-8,
 ) -> list[tuple[int, float]]:
     """SSE of the spectral-clustering result for every k in the inclusive
     range, sharing one seed so k-means starts from the same points each time.
@@ -197,7 +195,7 @@ def elbow_sweep(
     curve = []
     for k in range(k_min, k_max + 1):
         embedding = row_normalize(eig.vectors[:, :k])
-        km = kmeans(embedding, k, seed, max_iter=max_iter, tol=tol)
+        km = kmeans(embedding, k, seed)
         if space == "embedding":
             value = km.sse
         else:

@@ -236,6 +236,37 @@ class TestCommandLine:
         ])
         assert code == 3
 
+    def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"1,2\n3,\xff\n")
+        out = tmp_path / "x.json"
+        code = main(["run", "--mode", "els", "--input", str(bad), "--output", str(out)])
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {bad}: not UTF-8 text")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dims": 2, "groups": [',
+            '{"dims": 1, "groups": [{"center": [0], "spread": "wide", "count": 3}]}',
+            '{"dims": 1, "groups": {"a": 1}}',
+            "[1, 2]",
+        ],
+        ids=["truncated-json", "spread-word", "groups-object", "top-level-list"],
+    )
+    def test_malformed_synth_spec_is_config_error(self, tmp_path, capsys, text):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--spec", str(spec), "--output", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {spec}: malformed synthetic spec")
+
     @pytest.mark.parametrize(
         "message, line",
         [

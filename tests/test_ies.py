@@ -157,6 +157,20 @@ class TestIesTree:
                 (b.id, b.children, b.leaf_reason) for b in par.nodes
             ]
 
+    @pytest.mark.parametrize("mode", ["global", "local"])
+    def test_nodes_numbered_depth_first_in_child_order(self, mode):
+        ds = nested_scale_dataset(n_per_group=60, seed=5)
+        out = ies_cluster(ds.features, mode, master_seed=0)
+        assert [node.id for node in out.nodes] == list(range(len(out.nodes)))
+        visited, stack = [], [0]
+        while stack:
+            node = out.nodes[stack.pop()]
+            visited.append(node.id)
+            assert all(child > node.id for child in node.children)
+            stack.extend(reversed(node.children))
+        assert visited == list(range(len(out.nodes)))
+        assert np.all(out.leaf_assignments != -1)
+
     def test_node_seed_path_dependence(self):
         assert node_seed(0, ()) == node_seed(0, ())
         assert node_seed(0, (0,)) != node_seed(0, (1,))
