@@ -101,4 +101,7 @@ def normalized_laplacian(a) -> np.ndarray:
         isolated = np.nonzero(~np.isfinite(inv_sqrt * inv_sqrt))[0]
     if isolated.size:
         raise IsolatedPointsError(isolated)
-    return m * np.outer(inv_sqrt, inv_sqrt)
+    # Scaled into the outer product's own buffer: one n x n temporary fewer,
+    # and the same bits as m * outer, since multiplication commutes.
+    scale = np.outer(inv_sqrt, inv_sqrt)
+    return np.multiply(m, scale, out=scale)

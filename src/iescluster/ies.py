@@ -30,8 +30,8 @@ from .errors import (
     IsolatedPointsError,
 )
 from .kmeans import kmeans
-from .linalg import as_matrix, pairwise_distances
-from .njw import node_spectrum, row_normalize
+from .linalg import as_matrix, pairwise_distances, top_spectrum
+from .njw import node_laplacian, row_normalize
 from .scaling import ScalingEstimate, estimate_global_sigma, estimate_local_sigmas
 
 LEAF_EIGENGAP_ONE = "eigengap-one"
@@ -150,30 +150,18 @@ def _estimate_node_sigma(
 
 
 def _split_spectrum(
-    sub: np.ndarray,
+    lap: np.ndarray,
     sigma: ScalingEstimate,
     config: IesConfig,
     seed: int,
     k_override: int | None = None,
-    distances: np.ndarray | None = None,
 ) -> _NodeStep:
-    """Affinity through k-means for one node whose scale is already known.
+    """Eigensolve through k-means for one node's normalized Laplacian.
 
-    Member arrays inside the returned step index into ``sub``; the caller
-    translates them back to root indices. ``distances``, when given, is
-    ``sub``'s distance matrix and is overwritten by the affinity.
+    Member arrays inside the returned step index into the node's points;
+    the caller translates them back to root indices.
     """
-    n = sub.shape[0]
-    try:
-        eig = node_spectrum(sub, sigma, config.distance_exponent, distances=distances)
-    except IsolatedPointsError as err:
-        iso = np.asarray(err.indices, dtype=int)
-        rest = np.setdiff1d(np.arange(n), iso)
-        children = [(np.array([i]), LEAF_ISOLATED) for i in iso]
-        if rest.size:
-            children.append((rest, None))
-        return _NodeStep(sigma=sigma, children=children)
-
+    eig = top_spectrum(lap)
     if k_override is None:
         k = eigengap_k(eig.values, config.search_fraction).k
     else:
@@ -182,7 +170,7 @@ def _split_spectrum(
         reason = LEAF_EIGENGAP_ONE if k_override is None else LEAF_SINGLE_PASS
         return _NodeStep(sigma=sigma, estimated_k=1, leaf_reason=reason)
     try:
-        embedding = row_normalize(eig.vectors[:, :k])
+        embedding = row_normalize(eig.top(k))
     except DegenerateEmbeddingError:
         return _NodeStep(sigma=sigma, estimated_k=k, leaf_reason=LEAF_DEGENERATE)
     km = kmeans(embedding, k, seed)
@@ -215,7 +203,20 @@ def _node_step(
             sigma, distances = _estimate_node_sigma(sub, mode, config)
         except DegenerateDataError:
             return _NodeStep(leaf_reason=LEAF_DEGENERATE)
-    step = _split_spectrum(sub, sigma, config, seed, k_override, distances)
+    try:
+        lap = node_laplacian(sub, sigma, config.distance_exponent, distances=distances)
+    except IsolatedPointsError as err:
+        iso = np.asarray(err.indices, dtype=int)
+        rest = np.setdiff1d(np.arange(sub.shape[0]), iso)
+        children = [(np.array([i]), LEAF_ISOLATED) for i in iso]
+        if rest.size:
+            children.append((rest, None))
+        step = _NodeStep(sigma=sigma, children=children)
+    else:
+        # A local affinity is built in the distance buffer: release it
+        # before the eigensolve, which needs only the Laplacian.
+        del distances
+        step = _split_spectrum(lap, sigma, config, seed, k_override)
     step.children = [(members[idx], reason) for idx, reason in step.children]
     return step
 

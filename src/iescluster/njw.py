@@ -8,7 +8,7 @@ import numpy as np
 from .affinity import affinity_global, affinity_local, normalized_laplacian
 from .errors import DegenerateEmbeddingError, InvalidParameterError
 from .kmeans import kmeans
-from .linalg import EigenPairs, symmetric_eigen
+from .linalg import EigenPairs, TridiagonalSpectrum, top_spectrum
 from .scaling import ScalingEstimate
 
 # Row norms this far below the largest row are treated as numerically zero.
@@ -46,29 +46,36 @@ def row_normalize(vectors: np.ndarray) -> np.ndarray:
     return vectors / norms[:, None]
 
 
-def node_spectrum(
+def node_laplacian(
     data, scaling: ScalingEstimate, distance_exponent: int = 2, *, distances=None
-) -> EigenPairs:
-    """Affinity -> normalized Laplacian -> eigensolve for one set of points.
+) -> np.ndarray:
+    """Affinity -> normalized Laplacian for one set of points.
 
-    The one spectral chain behind the IES node step, NJW and the elbow
-    sweep. Isolated-point errors from the Laplacian propagate to the caller.
-    ``distances`` is handed to ``build_affinity``, which overwrites it.
+    Isolated-point errors from the Laplacian propagate to the caller.
+    ``distances`` is handed to ``build_affinity``, which overwrites it; the
+    affinity itself is released on return.
     """
-    a = build_affinity(data, scaling, distance_exponent, distances=distances)
-    return symmetric_eigen(normalized_laplacian(a))
+    return normalized_laplacian(
+        build_affinity(data, scaling, distance_exponent, distances=distances)
+    )
 
 
-def _top_k_rows(eig: EigenPairs, k: int) -> np.ndarray:
-    n = eig.values.shape[0]
-    if not 1 <= k <= n:
-        raise InvalidParameterError(f"k={k} out of range [1, {n}]")
-    return row_normalize(eig.vectors[:, :k])
+def node_spectrum(
+    data, scaling: ScalingEstimate, distance_exponent: int = 2
+) -> EigenPairs | TridiagonalSpectrum:
+    """Laplacian -> spectrum for one set of points: the one spectral chain
+    behind the IES node step (which runs its two stages itself, to release a
+    local affinity's distance buffer in between), NJW and the elbow sweep.
+
+    It returns every eigenvalue; the top eigenvectors come from the result's
+    ``top(k)`` (see ``top_spectrum``).
+    """
+    return top_spectrum(node_laplacian(data, scaling, distance_exponent))
 
 
 def spectral_embed(laplacian, k: int) -> np.ndarray:
     """Top-k eigenvectors of the Laplacian with every row scaled to unit norm."""
-    return _top_k_rows(symmetric_eigen(laplacian), k)
+    return row_normalize(top_spectrum(laplacian).top(k))
 
 
 def njw_cluster(
@@ -82,5 +89,5 @@ def njw_cluster(
 
     Isolated-point and degenerate-embedding errors propagate to the caller.
     """
-    embedding = _top_k_rows(node_spectrum(data, scaling, distance_exponent), k)
+    embedding = row_normalize(node_spectrum(data, scaling, distance_exponent).top(k))
     return kmeans(embedding, k, seed).assignments

@@ -32,16 +32,27 @@ class SyntheticSpec:
 
 
 def make_spec(groups, dims: int, seed: int = 0, noise_sd: float = 0.0) -> SyntheticSpec:
-    """Validate and normalize a group layout (scalar spreads broadcast)."""
+    """Validate and normalize a group layout (scalar spreads broadcast).
+
+    The seed must be a nonnegative integer (an integral float counts); the
+    centers, spreads and ``noise_sd`` must be finite.
+    """
     if dims < 1:
         raise InvalidParameterError(f"dims must be at least 1, got {dims}")
-    if noise_sd < 0:
-        raise InvalidParameterError(f"noise_sd must be nonnegative, got {noise_sd}")
+    if not (np.isfinite(noise_sd) and noise_sd >= 0):
+        raise InvalidParameterError(
+            f"noise_sd must be finite and nonnegative, got {noise_sd}"
+        )
+    seed_value = float(seed)
+    if not (seed_value.is_integer() and seed_value >= 0):
+        raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed}")
     if not groups:
         raise InvalidParameterError("at least one group is required")
     normalized = []
     for g in groups:
         center = tuple(float(c) for c in g["center"])
+        if not np.all(np.isfinite(center)):
+            raise InvalidParameterError("group centers must be finite")
         if len(center) != dims:
             raise InvalidParameterError(
                 f"group center length {len(center)} != dims {dims}"
@@ -55,8 +66,8 @@ def make_spec(groups, dims: int, seed: int = 0, noise_sd: float = 0.0) -> Synthe
                 raise InvalidParameterError(
                     f"group spread length {len(spread)} != dims {dims}"
                 )
-        if any(s < 0 for s in spread):
-            raise InvalidParameterError("spreads must be nonnegative")
+        if not all(np.isfinite(s) and s >= 0 for s in spread):
+            raise InvalidParameterError("spreads must be finite and nonnegative")
         count = int(g["count"])
         if count < 1:
             raise InvalidParameterError(f"group count must be at least 1, got {count}")

@@ -191,10 +191,10 @@ def elbow_sweep(
         )
     if space not in ("embedding", "raw"):
         raise InvalidParameterError(f"space must be 'embedding' or 'raw', got {space!r}")
-    eig = node_spectrum(x, scaling, distance_exponent)
+    vectors = node_spectrum(x, scaling, distance_exponent).top(k_max, k_min)
     curve = []
     for k in range(k_min, k_max + 1):
-        embedding = row_normalize(eig.vectors[:, :k])
+        embedding = row_normalize(vectors[:, :k])
         km = kmeans(embedding, k, seed)
         if space == "embedding":
             value = km.sse

@@ -268,6 +268,27 @@ class TestCommandLine:
         assert err[0].startswith(f"error: {spec}: malformed synthetic spec")
 
     @pytest.mark.parametrize(
+        "field, group, message",
+        [
+            ('"seed": -1', '"center": [0], "spread": 1', "seed must be a nonnegative integer"),
+            ('"seed": 1.5', '"center": [0], "spread": 1', "seed must be a nonnegative integer"),
+            ('"noise_sd": NaN', '"center": [0], "spread": 1', "noise_sd must be finite"),
+            ('"seed": 0', '"center": [NaN], "spread": 1', "group centers must be finite"),
+            ('"seed": 0', '"center": [0], "spread": Infinity', "spreads must be finite"),
+        ],
+        ids=["negative-seed", "fractional-seed", "nan-noise", "nan-center", "inf-spread"],
+    )
+    def test_invalid_synth_value_is_config_error(self, tmp_path, capsys, field, group, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(f'{{"dims": 1, {field}, "groups": [{{{group}, "count": 3}}]}}')
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--spec", str(spec), "--output", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {message}")
+
+    @pytest.mark.parametrize(
         "message, line",
         [
             ("Unable to allocate 11.0 GiB", "error: out of memory: Unable to allocate 11.0 GiB"),

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +14,24 @@ from iescluster.errors import (
     DimensionError,
     InsufficientDataError,
     InvalidDataError,
+    InvalidParameterError,
 )
-from iescluster.linalg import covariance, pairwise_distances, pca, symmetric_eigen
+from iescluster.affinity import normalized_laplacian
+from iescluster.linalg import (
+    N_MIN,
+    EigenPairs,
+    TridiagonalSpectrum,
+    covariance,
+    pairwise_distances,
+    pca,
+    symmetric_eigen,
+    top_spectrum,
+)
+from iescluster.njw import build_affinity
+from iescluster.scaling import estimate_global_sigma, estimate_local_sigmas
+from iescluster.synth import nested_scale_dataset
+
+from conftest import ideal_block_affinity, separated_blobs
 
 INV_SQRT2 = 0.7071067811865476  # 1/sqrt(2), hand value
 
@@ -112,6 +133,126 @@ class TestSymmetricEigen:
         # sign convention: largest-magnitude entry of each column positive
         tops = eig.vectors[np.argmax(np.abs(eig.vectors), axis=0), np.arange(n)]
         assert np.all(tops >= 0)
+
+
+def nested_laplacian(kind):
+    """Normalized Laplacian of a three-group nested layout above N_MIN."""
+    x = nested_scale_dataset(n_per_group=N_MIN // 3 + 20, seed=3).features
+    if kind == "global":
+        scaling = estimate_global_sigma(x)
+    else:
+        scaling = estimate_local_sigmas(x, 7)
+    return normalized_laplacian(build_affinity(x, scaling))
+
+
+def block_scipy(monkeypatch):
+    for name in ("scipy", "scipy.linalg", "scipy.linalg.lapack"):
+        monkeypatch.setitem(sys.modules, name, None)
+
+
+class TestTopSpectrum:
+    # The cuts the eigengap picks (2 under global, 3 under local scaling) and
+    # their neighbours. Local scaling has lambda_1 = lambda_2 = 1: its k = 1
+    # is the degenerate-cut fallback, and k = 2, 3 cut below an exact tie.
+    @pytest.mark.parametrize("kind", ["global", "local"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_full_oracle(self, kind, k):
+        pytest.importorskip("scipy")
+        lap = nested_laplacian(kind)
+        self.check_against_oracle(lap, k)
+        # The matrix is only read, so the oracle fallback can still use it.
+        assert np.array_equal(lap, nested_laplacian(kind))
+
+    def test_twelve_disconnected_groups(self):
+        # lambda_2..lambda_12 agree to 1e-6 and lie within 1e-4 of 1, while
+        # the cut at 12 is wide: the near-tie inside the cut takes the
+        # tridiagonal path, and only the subspace is compared.
+        pytest.importorskip("scipy")
+        x, _ = separated_blobs([N_MIN // 12 + 5] * 12, dims=12)
+        lap = normalized_laplacian(build_affinity(x, estimate_global_sigma(x)))
+        self.check_against_oracle(lap, 12)
+
+    @staticmethod
+    def check_against_oracle(lap, k):
+        oracle = symmetric_eigen(lap)
+        spec = top_spectrum(lap)
+        assert isinstance(spec, TridiagonalSpectrum)
+        assert np.max(np.abs(spec.values - oracle.values)) <= 1e-12
+        x = spec.top(k)
+        assert x.shape == (lap.shape[0], k)
+        p = oracle.vectors[:, :k]
+        assert np.linalg.norm(x - p @ (p.T @ x)) <= 1e-10
+        assert np.max(np.abs(x.T @ x - np.eye(k))) <= 1e-12
+        tops = x[np.argmax(np.abs(x), axis=0), np.arange(k)]
+        assert np.all(tops > 0)
+
+    def test_degenerate_cut_returns_oracle_bits(self):
+        # Two disconnected groups: lambda_1 = lambda_2 = 1, so the top-1
+        # subspace is not determined by the matrix.
+        pytest.importorskip("scipy")
+        lap = normalized_laplacian(ideal_block_affinity([N_MIN // 2 + 10, N_MIN // 2 + 20]))
+        oracle = symmetric_eigen(lap)
+        spec = top_spectrum(lap)
+        assert isinstance(spec, TridiagonalSpectrum)
+        assert np.array_equal(spec.top(1), oracle.vectors[:, :1])
+        # A sweep whose cuts include 1 falls back as a whole; cut 2 alone is
+        # well separated and takes the tridiagonal path.
+        assert np.array_equal(spec.top(2, k_min=1), oracle.vectors[:, :2])
+        x, p = spec.top(2), oracle.vectors[:, :2]
+        assert not np.array_equal(x, p)
+        assert np.linalg.norm(x - p @ (p.T @ x)) <= 1e-10
+
+    def test_repeatable(self):
+        pytest.importorskip("scipy")
+        lap = nested_laplacian("global")
+        a, b = top_spectrum(lap), top_spectrum(lap.copy())
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.top(3), b.top(3))
+
+    def test_failed_inverse_iteration_returns_oracle_bits(self, monkeypatch):
+        lapack = pytest.importorskip("scipy.linalg.lapack")
+        lap = nested_laplacian("global")
+        spec = top_spectrum(lap)
+        real = lapack.dstein
+        monkeypatch.setattr(lapack, "dstein", lambda *args: (real(*args)[0], 1))
+        assert np.array_equal(spec.top(2), symmetric_eigen(lap).vectors[:, :2])
+
+    def test_without_scipy_is_the_oracle(self, monkeypatch):
+        lap = nested_laplacian("global")
+        block_scipy(monkeypatch)
+        spec = top_spectrum(lap)
+        oracle = symmetric_eigen(lap)
+        assert isinstance(spec, EigenPairs)
+        assert np.array_equal(spec.values, oracle.values)
+        assert np.array_equal(spec.top(3), oracle.vectors[:, :3])
+
+    def test_small_input_is_the_oracle(self):
+        lap = normalized_laplacian(ideal_block_affinity([10, 12]))
+        spec = top_spectrum(lap)
+        oracle = symmetric_eigen(lap)
+        assert np.array_equal(spec.values, oracle.values)
+        assert np.array_equal(spec.top(2), oracle.vectors[:, :2])
+
+    @pytest.mark.parametrize("n", [5, N_MIN])
+    def test_k_out_of_range(self, n):
+        spec = top_spectrum(np.eye(n) + 1.0)
+        for k in (0, n + 1):
+            with pytest.raises(InvalidParameterError):
+                spec.top(k)
+
+    def test_input_validation_matches_oracle(self):
+        a = np.ones((N_MIN, N_MIN))
+        a[0, 1] = 2.0
+        with pytest.raises(InvalidDataError):
+            top_spectrum(a)
+        with pytest.raises(DimensionError):
+            top_spectrum(np.zeros((N_MIN, N_MIN + 1)))
+
+    def test_import_leaves_scipy_unloaded(self):
+        src = str(Path(__import__("iescluster").__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, iescluster; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestCovariance:
