@@ -15,7 +15,9 @@ Two corpora of the same code must be identical (`diff -r`), and a refactor
 that claims to keep every result must leave the corpus unchanged. The
 layouts cover one- to many-level trees, isolated-point ejection (far
 outliers, and an affinity row that underflows at a fixed sigma^2), identical
-points, and 60 features; the flag sets cover every mode, `--workers`,
+points, 60 features, and (for data seed 0 only) a root of 1050 points, at
+least `linalg.N_MIN`, so that with scipy installed the top-k tridiagonal
+eigensolver runs; the flag sets cover every mode, `--workers`,
 `--sigma`, `njw --k`, the distance exponent and kNN knobs, both seeds and a
 usage error.
 
@@ -76,6 +78,8 @@ def layouts(seed: int) -> dict:
     out["deep-tree"] = augment_with_noise(
         nested_scale_dataset(n_per_group=40, seed=seed), 360, noise_sd=0.05, seed=seed
     )
+    if seed == 0:
+        out["nested-1050"] = nested_scale_dataset(n_per_group=350, seed=seed)
     return out
 
 

@@ -47,28 +47,22 @@ MODES = CLUSTER_MODES + ("elbow",)
 # local-scale modes re-estimate per node and reject an override.
 _SIGMA_OVERRIDE_MODES = ("njw", "legacy-eigengap", "elbow")
 
-# RunConfig fields that are passed through to IesConfig.
-_SHARED_KNOBS = (
-    "variance_threshold", "knn_k", "search_fraction", "min_node_size",
-    "depth_cap", "distance_exponent",
-)
 # The report's "params" block.
-_PARAMS = ("sigma_override", "k_override") + _SHARED_KNOBS + ("master_seed", "n_workers")
+_PARAMS = (
+    "sigma_override", "k_override", *(f.name for f in fields(IesConfig)),
+    "master_seed", "n_workers",
+)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs besides the dataset itself."""
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(IesConfig):
+    """Everything one invocation needs besides the dataset itself: the
+    IesConfig knobs, with their defaults and range checks, plus the run's
+    own fields."""
 
     mode: str
     sigma_override: float | None = None
     k_override: int | None = None
-    variance_threshold: float = IesConfig.variance_threshold
-    knn_k: int = IesConfig.knn_k
-    search_fraction: float = IesConfig.search_fraction
-    min_node_size: int = IesConfig.min_node_size
-    depth_cap: int = IesConfig.depth_cap
-    distance_exponent: int = IesConfig.distance_exponent
     master_seed: int = 0
     elbow_space: str = "embedding"
     elbow_k_min: int | None = None
@@ -80,6 +74,8 @@ class RunConfig:
             raise InvalidParameterError(f"unknown mode {self.mode!r}; choose from {MODES}")
         if self.mode == "njw" and self.k_override is None:
             raise InvalidParameterError("mode njw requires --k")
+        if self.mode != "njw" and self.k_override is not None:
+            raise InvalidParameterError("--k only applies to mode njw")
         if self.mode == "elbow" and (self.elbow_k_min is None or self.elbow_k_max is None):
             raise InvalidParameterError("mode elbow requires --k-min and --k-max")
         if self.sigma_override is not None:
@@ -93,16 +89,11 @@ class RunConfig:
             raise InvalidParameterError("elbow_space must be 'embedding' or 'raw'")
         if self.n_workers < 1:
             raise InvalidParameterError("n_workers must be at least 1")
-        self.ies_config()  # range-checks the shared knobs
+        super().__post_init__()
 
     def ies_config(self) -> IesConfig:
-        return IesConfig(**{name: getattr(self, name) for name in _SHARED_KNOBS})
-
-
-def _sigma_override_estimate(config: RunConfig):
-    if config.sigma_override is not None:
-        return manual_global_sigma(config.sigma_override)
-    return None
+        """The knobs alone, as a plain IesConfig."""
+        return IesConfig(**{f.name: getattr(self, f.name) for f in fields(IesConfig)})
 
 
 def _sigma_trace(outcome: ClusteringOutcome) -> list[dict]:
@@ -192,15 +183,15 @@ def run(config: RunConfig, dataset: Dataset):
     features = dataset.features
     cfg = config.ies_config()
     seed = config.master_seed
+    sigma = None if config.sigma_override is None else manual_global_sigma(config.sigma_override)
 
     if config.mode == "elbow":
-        scaling = _sigma_override_estimate(config)
-        if scaling is None:
-            scaling = estimate_global_sigma(features, config.variance_threshold)
+        if sigma is None:
+            sigma = estimate_global_sigma(features, config.variance_threshold)
         return elbow_sweep(
             features,
             (config.elbow_k_min, config.elbow_k_max),
-            scaling,
+            sigma,
             seed,
             distance_exponent=config.distance_exponent,
             space=config.elbow_space,
@@ -213,14 +204,9 @@ def run(config: RunConfig, dataset: Dataset):
     elif config.mode == "els":
         outcome = els_cluster(features, cfg, seed)
     elif config.mode == "legacy-eigengap":
-        outcome = legacy_eigengap_cluster(
-            features, cfg, seed, sigma=_sigma_override_estimate(config)
-        )
+        outcome = legacy_eigengap_cluster(features, cfg, seed, sigma=sigma)
     else:  # njw
-        outcome = njw_outcome(
-            features, config.k_override, cfg, seed,
-            sigma=_sigma_override_estimate(config),
-        )
+        outcome = njw_outcome(features, config.k_override, cfg, seed, sigma=sigma)
 
     report = {
         "schema_version": SCHEMA_VERSION,

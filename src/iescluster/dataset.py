@@ -42,37 +42,41 @@ def load_dataset(path, label_column=None, has_header: bool = False) -> Dataset:
     """Parse a rectangular numeric UTF-8 CSV, splitting off an optional label column.
 
     ``label_column`` may be a 0-based column index or, with a header, a column
-    name (a name implies ``has_header``). Ragged rows and non-numeric or
-    non-finite feature cells raise errors naming the offending line.
+    name (a name implies ``has_header``). Blank lines are skipped. Ragged rows
+    (a header of another width too) and non-numeric or non-finite feature
+    cells raise errors naming the offending line of the file.
     """
     label_by_name = isinstance(label_column, str) and not _is_int(label_column)
     if label_by_name:
         has_header = True
 
+    # Each kept row's line in the file (a quoted multi-line record's last).
+    rows, lines = [], []
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh)]
+            reader = csv.reader(fh)
+            for row in reader:
+                if any(cell.strip() for cell in row):
+                    rows.append(row)
+                    lines.append(reader.line_num)
     except UnicodeDecodeError as err:
         raise InvalidDataError(f"{path}: not UTF-8 text: {err}") from err
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
     if not rows:
         raise InvalidDataError(f"{path}: empty file")
 
-    header = None
-    start_line = 1
-    if has_header:
-        header = [cell.strip() for cell in rows[0]]
-        rows = rows[1:]
-        start_line = 2
-        if not rows:
-            raise InvalidDataError(f"{path}: no data rows after header")
-
     width = len(rows[0])
-    for offset, row in enumerate(rows):
+    for row, line in zip(rows, lines):
         if len(row) != width:
             raise InvalidDataError(
-                f"{path}: line {start_line + offset}: expected {width} columns, got {len(row)}"
+                f"{path}: line {line}: expected {width} columns, got {len(row)}"
             )
+
+    header = None
+    if has_header:
+        header = [cell.strip() for cell in rows[0]]
+        rows, lines = rows[1:], lines[1:]
+        if not rows:
+            raise InvalidDataError(f"{path}: no data rows after header")
 
     label_idx = None
     if label_column is not None:
@@ -94,7 +98,7 @@ def load_dataset(path, label_column=None, has_header: bool = False) -> Dataset:
 
     features = np.empty((len(rows), len(feature_cols)))
     raw_labels: list[str] = []
-    for i, row in enumerate(rows):
+    for i, (row, line) in enumerate(zip(rows, lines)):
         for out_j, j in enumerate(feature_cols):
             cell = row[j].strip()
             try:
@@ -103,7 +107,7 @@ def load_dataset(path, label_column=None, has_header: bool = False) -> Dataset:
                 value = math.nan
             if not math.isfinite(value):
                 raise InvalidDataError(
-                    f"{path}: line {start_line + i}, column {j + 1}: "
+                    f"{path}: line {line}, column {j + 1}: "
                     f"non-numeric value {cell!r}"
                 )
             features[i, out_j] = value

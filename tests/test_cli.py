@@ -47,13 +47,31 @@ class TestRunConfig:
                 mode=mode, sigma_override=sigma, elbow_k_min=1, elbow_k_max=3
             )
 
+    @pytest.mark.parametrize(
+        "mode", ["ies-global", "ies-local", "els", "legacy-eigengap", "elbow"]
+    )
+    def test_k_override_only_njw(self, mode):
+        with pytest.raises(InvalidParameterError, match="--k only applies to mode njw"):
+            RunConfig(mode=mode, k_override=2, elbow_k_min=1, elbow_k_max=3)
+
     def test_unknown_mode(self):
         with pytest.raises(InvalidParameterError):
             RunConfig(mode="magic")
 
-    def test_knob_ranges_checked(self):
-        with pytest.raises(InvalidParameterError):
-            RunConfig(mode="els", variance_threshold=1.5)
+    @pytest.mark.parametrize(
+        "knob, value",
+        [
+            ("variance_threshold", 1.5),
+            ("knn_k", 0),
+            ("search_fraction", 0),
+            ("min_node_size", 0),
+            ("depth_cap", 0),
+            ("distance_exponent", 3),
+        ],
+    )
+    def test_knob_ranges_checked(self, knob, value):
+        with pytest.raises(InvalidParameterError, match=knob):
+            RunConfig(mode="els", **{knob: value})
 
 
 class TestDefaults:
@@ -184,6 +202,16 @@ class TestCommandLine:
         ])
         assert code == 2
 
+    def test_k_outside_njw_is_config_error(self, labeled_csv, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = main([
+            "run", "--mode", "ies-global", "--k", "3", "--input", str(labeled_csv),
+            "--label-col", "label", "--has-header", "--output", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "error: --k only applies to mode njw\n"
+
     @pytest.mark.parametrize("sigma", ["inf", "1e400", "nan"])
     @pytest.mark.parametrize(
         "command",
@@ -235,6 +263,17 @@ class TestCommandLine:
             "--output", str(tmp_path / "x.json"),
         ])
         assert code == 3
+
+    def test_short_header_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "short.csv"
+        bad.write_text("a,b\n1,2,3\n4,5,6\n")
+        out = tmp_path / "x.json"
+        code = main(["run", "--mode", "ies-global", "--input", str(bad), "--has-header",
+                     "--output", str(out)])
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}: line 2: expected 2 columns, got 3"]
 
     def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"

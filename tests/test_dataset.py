@@ -51,6 +51,35 @@ class TestLoadDataset:
         with pytest.raises(InvalidDataError, match="line 2"):
             load_dataset(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("a,b\n1,2,3\n4,5,6\n", "line 2: expected 2 columns, got 3"),
+            ("a,b,c,d\n1,2,3\n4,5,6\n", "line 2: expected 4 columns, got 3"),
+        ],
+        ids=["short", "long"],
+    )
+    def test_header_of_another_width_is_ragged(self, tmp_path, text, message):
+        path = write(tmp_path, text)
+        with pytest.raises(InvalidDataError, match=message):
+            load_dataset(path, has_header=True)
+
+    def test_ragged_row_after_blank_lines_names_file_line(self, tmp_path):
+        path = write(tmp_path, "1,2\n\n\n3\n")
+        with pytest.raises(InvalidDataError, match="line 4: expected 2 columns, got 1"):
+            load_dataset(path)
+
+    def test_bad_cell_after_blank_lines_names_file_line(self, tmp_path):
+        path = write(tmp_path, "a,b,label\n\n1,2,0\n\n3,4,1\n5,x,1\n")
+        with pytest.raises(InvalidDataError, match="line 6, column 2: non-numeric value 'x'"):
+            load_dataset(path, label_column="label")
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = write(tmp_path, "a,b,label\n\n1,2,0\n , \n\n3,4,1\n")
+        ds = load_dataset(path, label_column="label")
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.labels.tolist() == [0, 1]
+
     def test_non_numeric_cell_names_position(self, tmp_path):
         path = write(tmp_path, "1,2\n3,oops\n")
         with pytest.raises(InvalidDataError, match="line 2, column 2"):
