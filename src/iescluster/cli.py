@@ -87,6 +87,16 @@ class RunConfig(IesConfig):
                 )
         if self.elbow_space not in ("embedding", "raw"):
             raise InvalidParameterError("elbow_space must be 'embedding' or 'raw'")
+        if self.mode == "elbow":
+            if not 1 <= self.elbow_k_min <= self.elbow_k_max:
+                raise InvalidParameterError(
+                    f"--k-min {self.elbow_k_min} and --k-max {self.elbow_k_max} "
+                    "must satisfy 1 <= k-min <= k-max"
+                )
+        elif (self.elbow_k_min, self.elbow_k_max, self.elbow_space) != (None, None, "embedding"):
+            raise InvalidParameterError(
+                "--k-min, --k-max and --elbow-space only apply to mode elbow"
+            )
         if self.n_workers < 1:
             raise InvalidParameterError("n_workers must be at least 1")
         super().__post_init__()

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidParameterError
-from .kmeans import kmeans
+from .kmeans import cluster_means, kmeans
 from .kmeans import sse as sse_of
 from .linalg import as_matrix
 from .njw import node_spectrum, row_normalize
@@ -199,9 +199,7 @@ def elbow_sweep(
         if space == "embedding":
             value = km.sse
         else:
-            centroids = np.stack(
-                [x[km.assignments == c].mean(axis=0) for c in range(km.n_clusters)]
-            )
+            centroids = cluster_means(x, km.assignments, np.bincount(km.assignments))
             value = sse_of(x, km.assignments, centroids)
         curve.append((k, float(value)))
     return curve

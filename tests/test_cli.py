@@ -58,6 +58,22 @@ class TestRunConfig:
         with pytest.raises(InvalidParameterError):
             RunConfig(mode="magic")
 
+    @pytest.mark.parametrize("k_min, k_max", [(0, 3), (5, 2), (-2, -1)])
+    def test_elbow_range_checked(self, k_min, k_max):
+        with pytest.raises(InvalidParameterError, match="1 <= k-min <= k-max"):
+            RunConfig(mode="elbow", elbow_k_min=k_min, elbow_k_max=k_max)
+
+    @pytest.mark.parametrize(
+        "elbow_field",
+        [{"elbow_k_min": 2}, {"elbow_k_max": 4}, {"elbow_space": "raw"},
+         {"elbow_k_min": 5, "elbow_k_max": 2, "elbow_space": "raw"}],
+    )
+    @pytest.mark.parametrize("mode", ["ies-global", "ies-local", "els", "legacy-eigengap", "njw"])
+    def test_elbow_fields_only_elbow(self, mode, elbow_field):
+        k = {"k_override": 2} if mode == "njw" else {}
+        with pytest.raises(InvalidParameterError, match="only apply to mode elbow"):
+            RunConfig(mode=mode, **k, **elbow_field)
+
     @pytest.mark.parametrize(
         "knob, value",
         [
@@ -363,6 +379,16 @@ class TestCommandLine:
         assert [int(r[0]) for r in rows[1:]] == [1, 2, 3, 4, 5]
         for r in rows[1:]:
             float(r[1])
+
+    def test_elbow_reversed_range_is_config_error(self, labeled_csv, tmp_path, capsys):
+        out = tmp_path / "elbow.csv"
+        code = main([
+            "elbow", "--input", str(labeled_csv), "--label-col", "label",
+            "--has-header", "--k-min", "5", "--k-max", "2", "--output", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: --k-min 5 and --k-max 2")
 
     def test_synth_subcommand(self, tmp_path):
         spec = tmp_path / "spec.json"

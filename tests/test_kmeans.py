@@ -8,12 +8,17 @@ from hypothesis import strategies as st
 
 from iescluster.errors import DimensionError, InvalidParameterError
 from iescluster.kmeans import (
+    _farthest_points,
     _nearest,
     _nearest_exact,
+    cluster_means,
     farthest_point_init,
     kmeans,
     sse,
 )
+from iescluster.njw import node_spectrum, row_normalize
+from iescluster.scaling import estimate_global_sigma
+from iescluster.synth import augment_with_noise, nested_scale_dataset
 
 # The package re-exports the function ``kmeans``, which shadows the module.
 kmeans_module = import_module("iescluster.kmeans")
@@ -264,3 +269,210 @@ class TestCertifiedNearest:
         assert fast.iterations == exact.iterations
         assert fast.converged == exact.converged
         assert fast.sse_history == exact.sse_history
+
+
+def bits(values):
+    """The float64 bit patterns, so -0.0 and +0.0 compare unequal."""
+    return np.asarray(values, dtype=np.float64).view(np.int64)
+
+
+def means_by_loop(x, assign, k):
+    """One ``mean`` call per cluster, the reference for ``cluster_means``;
+    rows of empty clusters are 0."""
+    means = np.zeros((k, x.shape[1]))
+    for cid in range(k):
+        if np.any(assign == cid):
+            means[cid] = x[assign == cid].mean(axis=0)
+    return means
+
+
+class TestClusterMeans:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 400),
+        st.integers(1, 120),
+        st.integers(1, 40),
+        st.sampled_from(["normal", "grid", "zeros"]),
+        st.sampled_from([0, -500, 500]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_cluster_mean(self, n, d, k, kind, scale, fortran, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "grid":
+            x = rng.integers(-3, 4, (n, d)).astype(float)
+        else:
+            x = rng.normal(0.0, 1.0, (n, d))
+        if kind == "zeros":
+            # Columns of signed zeros: an all -0.0 column sums to +0.0.
+            x[:, rng.random(d) < 0.5] = -0.0
+            x[rng.random((n, d)) < 0.2] = 0.0
+        x = np.ldexp(x, scale)
+        if fortran:
+            x = np.asfortranarray(x)
+        # Only some ids in use, so clusters are often empty.
+        assign = rng.integers(0, k, n) // int(rng.integers(1, 4))
+        counts = np.bincount(assign, minlength=k)
+        assert np.array_equal(bits(cluster_means(x, assign, counts)), bits(means_by_loop(x, assign, k)))
+
+    def test_single_column_keeps_pairwise_mean(self):
+        # numpy sums one column pairwise: a sequential sum of these values
+        # differs in the last bits, so a one-pass bincount would too.
+        x = np.random.default_rng(5).normal(0.0, 1.0, (1000, 1))
+        assign = np.zeros(1000, dtype=int)
+        sequential = np.bincount(assign, weights=x[:, 0])[0] / 1000
+        assert sequential != x.mean()
+        got = cluster_means(x, assign, np.bincount(assign))
+        assert np.array_equal(bits(got), bits(means_by_loop(x, assign, 1)))
+
+
+def farthest_by_loop(x, k, first_index):
+    """Greedy farthest-point initialization, each distance row computed as it
+    is needed."""
+    chosen = [int(first_index)]
+    min_sq = np.sum((x - x[chosen[0]]) ** 2, axis=1)
+    while len(chosen) < k:
+        nxt = int(np.argmax(min_sq))
+        chosen.append(nxt)
+        min_sq = np.minimum(min_sq, np.sum((x - x[nxt]) ** 2, axis=1))
+    return x[chosen].copy()
+
+
+def lloyd_by_loop(x, centroids):
+    """Lloyd iteration with the difference-form assignment and a per-cluster
+    ``mean`` update."""
+    history = []
+    iterations = 0
+    converged = False
+    while iterations < 300:
+        iterations += 1
+        assign = _nearest_exact(x, centroids)
+        history.append(sse(x, assign, centroids))
+        counts = np.bincount(assign, minlength=centroids.shape[0])
+        keep = counts > 0
+        means = np.empty_like(centroids)
+        for cid in np.nonzero(keep)[0]:
+            means[cid] = x[assign == cid].mean(axis=0)
+        if not keep.all():
+            centroids = means[keep]
+            continue
+        movement = float(np.max(np.sqrt(np.sum((means - centroids) ** 2, axis=1))))
+        centroids = means
+        if movement < 1e-8:
+            converged = True
+            break
+    assign = _nearest_exact(x, centroids)
+    history.append(sse(x, assign, centroids))
+    counts = np.bincount(assign, minlength=centroids.shape[0])
+    keep = np.nonzero(counts > 0)[0]
+    remap = np.full(centroids.shape[0], -1, dtype=int)
+    remap[keep] = np.arange(keep.size)
+    assignments = remap[assign]
+    centroids = centroids[keep]
+    return (assignments, centroids, sse(x, assignments, centroids), iterations,
+            converged, tuple(history))
+
+
+def kmeans_by_loop(x, k, seed):
+    rng = np.random.default_rng(seed)
+    best = None
+    for _ in range(4):
+        result = lloyd_by_loop(x, farthest_by_loop(x, k, int(rng.integers(x.shape[0]))))
+        if best is None or result[2] < best[2]:
+            best = result
+    return best
+
+
+def assert_same_result(result, reference):
+    assignments, centroids, total, iterations, converged, history = reference
+    assert result.assignments.dtype == assignments.dtype
+    assert np.array_equal(result.assignments, assignments)
+    assert np.array_equal(bits(result.centroids), bits(centroids))
+    assert bits(result.sse) == bits(total)
+    assert result.iterations == iterations
+    assert result.converged == converged
+    assert np.array_equal(bits(result.sse_history), bits(history))
+
+
+@pytest.fixture(scope="module")
+def nested_vectors():
+    x = nested_scale_dataset(n_per_group=100, seed=0).features
+    return node_spectrum(x, estimate_global_sigma(x)).top(12)
+
+
+class TestKMeansMatchesLoop:
+    """``kmeans`` against ``kmeans_by_loop``, every field bit for bit, on the
+    embeddings the spectral callers hand it."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_elbow_embeddings(self, nested_vectors, k):
+        # The elbow sweep's calls: one seed, k = 1..12 on the top-k rows.
+        embedding = row_normalize(nested_vectors[:, :k])
+        assert_same_result(kmeans(embedding, k, seed=0), kmeans_by_loop(embedding, k, 0))
+
+    def test_large_k(self):
+        # A deep-tree-like root: near-duplicate points and k = 95, so the
+        # assignment step uses the (n, k) layout.
+        data = augment_with_noise(nested_scale_dataset(n_per_group=40, seed=1), 400,
+                                  noise_sd=0.05, seed=1).features
+        embedding = row_normalize(node_spectrum(data, estimate_global_sigma(data)).top(95))
+        assert_same_result(kmeans(embedding, 95, seed=2), kmeans_by_loop(embedding, 95, 2))
+
+    @pytest.mark.parametrize("k", [3, 8])
+    def test_fortran_ordered_data(self, rng, k):
+        data = np.asfortranarray(rng.normal(0.0, 1.0, (120, 5)))
+        assert_same_result(kmeans(data, k, seed=4), kmeans_by_loop(data, k, 4))
+
+
+class TestFarthestPoints:
+    def test_shared_rows_match_fresh_rows(self):
+        # Near-duplicate points: restarts from different first points soon
+        # pick the same points, so they read rows others computed.
+        data = augment_with_noise(nested_scale_dataset(n_per_group=10, seed=3), 90,
+                                  noise_sd=0.05, seed=3).features
+        rows = {}
+        for first in [0, 45, 89, 12, 45]:
+            shared = _farthest_points(data, 20, first, rows)
+            assert shared == _farthest_points(data, 20, first, {})
+            assert np.array_equal(data[shared], farthest_by_loop(data, 20, first))
+        for i, row in rows.items():
+            assert np.array_equal(bits(row), bits(np.sum((data - data[i]) ** 2, axis=1)))
+
+    def test_public_init_matches_loop(self, rng):
+        data = rng.normal(0.0, 1.0, (60, 4))
+        assert np.array_equal(farthest_point_init(data, 7, 11), farthest_by_loop(data, 7, 11))
+
+
+class TestInitCentroids:
+    def test_row_count_must_equal_k(self, rng):
+        data = rng.normal(0.0, 1.0, (10, 2))
+        with pytest.raises(DimensionError, match="5 rows, expected k=2"):
+            kmeans(data, 2, seed=0, init_centroids=data[:5])
+
+
+class TestNearestLayouts:
+    """Both layouts of the inner-product matrix give ``_nearest_exact``'s
+    assignments, whichever side of ``_BY_CENTROID_K`` k falls on."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 200),
+        st.integers(1, 80),
+        st.integers(1, 60),
+        st.integers(-500, 500) | st.sampled_from([-500, 500]),
+        st.booleans(),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_difference_form(self, n, k, d, s, by_centroid, grid, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.integers(-3, 4, (n, d)).astype(float) if grid else rng.normal(0.0, 1.0, (n, d))
+        # Rows copied as centroids, half of them nudged: exact and near ties.
+        c = x[rng.integers(0, n, k)]
+        c[::2] += rng.normal(0.0, 1e-9, c[::2].shape)
+        x, c = np.ldexp(x, s), np.ldexp(c, s)
+        with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", under="ignore"):
+            mp.setattr(kmeans_module, "_BY_CENTROID_K", k if by_centroid else k - 1)
+            got = _nearest(x, c)
+            want = _nearest_exact(x, c)
+        assert np.array_equal(got, want)
