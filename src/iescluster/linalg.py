@@ -3,25 +3,43 @@
 Everything here operates on plain float64 ndarrays. Matrices are observations
 in rows, features in columns.
 
-Two symmetric eigensolvers share one output convention (descending
+Three symmetric eigensolvers share one output convention (descending
 eigenvalues; each eigenvector's largest-magnitude entry positive):
 
 - ``symmetric_eigen`` computes the full decomposition with ``np.linalg.eigh``.
-  It is the reference, and the only solver of a numpy-only install.
+  It is the reference, the solver of PCA, and every fast path's fallback.
 - ``top_spectrum`` serves the spectral chain, which needs every eigenvalue
   (for the eigengap) but only the top k eigenvectors (for the split), and
-  none when k = 1. From n = ``N_MIN`` on, and when scipy is installed, it
-  reduces the matrix once to tridiagonal form T = Qᵀ A Q (LAPACK ``dsytrd``)
-  and takes every eigenvalue of T (``dsterf``). ``top(k)`` then finds the k
-  eigenvectors of T by inverse iteration (``dstein``) and maps them back
-  through Q (``dormqr``). Below ``N_MIN``, without scipy, or when a cut the
-  caller needs falls between two numerically equal eigenvalues (the input
-  then does not determine the subspace), it returns ``symmetric_eigen``'s
-  answer.
+  none when k = 1. It takes one of three paths:
+
+  - From n = ``N_MIN`` on, when scipy is installed, it reduces the matrix
+    once to tridiagonal form T = Qᵀ A Q (LAPACK ``dsytrd``) and takes every
+    eigenvalue of T (``dsterf``). ``top(k)`` then finds the k eigenvectors
+    of T by inverse iteration (``dstein``) and maps them back through Q
+    (``dormqr``). Every caller of that size takes it.
+  - Otherwise, for a caller that picks k at the eigengap
+    (``eigengap=True``: the IES tree, ELS and the legacy eigengap baseline),
+    every eigenvalue comes from ``np.linalg.eigvalsh``, and ``top(k)``
+    filters a fixed, seeded n x k block with a Chebyshev polynomial that is
+    small on [λₙ, λₖ₊₁] and 1 at λₖ, then takes a Rayleigh–Ritz step (Zhou,
+    Saad, Tiago & Chelikowsky 2006). The eigengap makes λₖ - λₖ₊₁ wide, so
+    a low degree separates the top k eigenvectors (Parlett 1998, ch. 11).
+    It is numpy only and holds no n x n matrix beyond the input.
+  - Otherwise (a caller with a fixed k, such as NJW and the elbow sweep,
+    below ``N_MIN`` or without scipy), ``symmetric_eigen``.
+
+  Both fast paths return ``symmetric_eigen``'s answer when a cut the caller
+  needs falls between two numerically equal eigenvalues (the input then
+  does not determine the subspace). The filter does too when any of the
+  top k eigenvalues are tied (the basis is then not determined), when the
+  degree it needs is over ``FILTER_DEGREE_MAX``, when its products would
+  cost more than ``eigh``, or when its Ritz pairs miss the eigenvalues or
+  leave a residual above n * eps * max|λ| after two rounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,16 +55,33 @@ from .errors import (
 # Relative symmetry defect tolerated before refusing to decompose.
 SYMMETRY_RTOL = 1e-10
 
-# Smallest order that ``top_spectrum`` tridiagonalizes. Alone, the
-# tridiagonal path beats eigh from n = 60 on a 2-core OpenBLAS host (0.32
-# against 0.43 ms for a top-3 solve; 23 against 62 ms at n = 600). But scipy
-# brings its own OpenBLAS, whose idle threads spin for about 0.1 s after each
-# call, and numpy work that follows runs slower meanwhile: four small
-# 200-feature trees took 382 ms after a tridiagonal solve against 321 ms
-# after an eigh. With that cost counted, solve plus the trees broke even near
-# n = 900 (-62 ms at 600, +14 ms at 900, +90 ms at 1050, +140 ms at 1200).
-# Smaller inputs keep eigh and never pay scipy's import (0.3-0.4 s, 28 MB).
+# Smallest order that ``top_spectrum`` tridiagonalizes, when scipy is
+# installed; every caller of that size takes the tridiagonal path, and
+# smaller ones take the Chebyshev filter (eigengap callers) or eigh (callers
+# with a fixed k). Alone, the tridiagonal path beats eigh from n = 60 on a
+# 2-core OpenBLAS host (0.32 against 0.43 ms for a top-3 solve; 23 against
+# 62 ms at n = 600). But scipy brings its own OpenBLAS, whose idle threads
+# spin for about 0.1 s after each call, and numpy work that follows runs
+# slower meanwhile: four small 200-feature trees took 382 ms after a
+# tridiagonal solve against 321 ms after an eigh. With that cost counted,
+# solve plus the trees broke even near n = 900 (-62 ms at 600, +14 ms at
+# 900, +90 ms at 1050, +140 ms at 1200). Smaller inputs never pay scipy's
+# import (0.3-0.4 s, 28 MB).
 N_MIN = 1000
+
+# The Chebyshev filter's degree m is the smallest with T_m(t) >= 1 / eps at
+# the normalized λₖ, so one pass shrinks the share of [λₙ, λₖ₊₁] in a start
+# vector below rounding. The eigengap nodes of the benchmark workloads need
+# degrees 5-20; their 100-point nodes with weak gaps need 52-82, where
+# eigvalsh plus eigh (1.6-2.1 ms) beats eigvalsh plus the filter
+# (2.3-3.2 ms, mostly per-step overhead), so a node over the cap takes eigh.
+FILTER_DEGREE_MAX = 50
+_FILTER_DECAY = math.acosh(1.0 / np.finfo(float).eps)
+# Flops of a full eigh in units of n^3 (tridiagonal reduction plus
+# eigenvectors, Golub & Van Loan 8.3), the filter's cost cap against its
+# 2 n^2 k flops per degree: deep-tree's 400-point nodes with k = 95-99 need
+# degree 39-58 and take eigh.
+_EIGH_FLOPS = 9
 
 
 @dataclass(frozen=True)
@@ -96,11 +131,8 @@ class TridiagonalSpectrum:
         """
         n = self.values.shape[0]
         _check_top_k(k, n)
-        cuts = np.arange(k if k_min is None else k_min, min(k, n - 1) + 1)
-        gaps = self.values[cuts - 1] - self.values[cuts]
-        tol = n * np.finfo(float).eps * np.max(np.abs(self.values))
-        if np.any(gaps <= tol):
-            return symmetric_eigen(self.matrix).top(k)
+        if _tied_cut(self.values, k, k_min):
+            return symmetric_eigen(self.matrix, check=False).top(k)
         from scipy.linalg import lapack
 
         # One block, the top k eigenvalues in ascending order, as dstein takes
@@ -113,7 +145,7 @@ class TridiagonalSpectrum:
             self.diagonal, self.offdiagonal, self.values[k - 1 :: -1], iblock, isplit
         )
         if info != 0:
-            return symmetric_eigen(self.matrix).top(k)
+            return symmetric_eigen(self.matrix, check=False).top(k)
         # Q = diag(1, Q'), with Q' the product of the reflectors: LAPACK's
         # dormtr for UPLO='L' is this dormqr call on rows 1..n-1. The
         # workspace is dormqr's optimum for blocks of up to 64 reflectors (64
@@ -125,6 +157,112 @@ class TridiagonalSpectrum:
             "L", "N", self.reflectors, self.tau, z[1:, ::-1], 64 * k + 65 * 64
         )[0]
         return _positive_peaks(vectors)
+
+
+@dataclass(frozen=True)
+class FilteredSpectrum:
+    """Every eigenvalue of a symmetric matrix, descending, from
+    ``np.linalg.eigvalsh``, and the matrix, whose top eigenvectors ``top(k)``
+    computes with a Chebyshev filter (see the module docstring)."""
+
+    values: np.ndarray
+    matrix: np.ndarray
+
+    def top(self, k: int, k_min: int | None = None) -> np.ndarray:
+        """Columns are the eigenvectors of the k largest eigenvalues.
+
+        ``symmetric_eigen``'s vectors are returned instead for a tie at any
+        cut from 1 to k (which covers every ``k_min``; at a tie inside the
+        top k the subspace is determined but its basis is not, and the
+        filter's basis would be another rotation than eigh's), for k = n,
+        for a degree over ``FILTER_DEGREE_MAX``, for a filter dearer than
+        ``eigh`` and for a residual check failed twice.
+        """
+        n = self.values.shape[0]
+        _check_top_k(k, n)
+        vectors = None
+        if k < n and not _tied_cut(self.values, k, 1):
+            vectors = _filtered_top(self.matrix, self.values, k)
+        if vectors is None:
+            return symmetric_eigen(self.matrix, check=False).top(k)
+        return vectors
+
+
+def _tied_cut(values: np.ndarray, k: int, k_min: int | None) -> bool:
+    """Whether a cut j in ``[k_min, k]`` (default k alone) falls between two
+    eigenvalues within ``n * eps * max|λ|`` of each other."""
+    n = values.shape[0]
+    cuts = np.arange(k if k_min is None else k_min, min(k, n - 1) + 1)
+    gaps = values[cuts - 1] - values[cuts]
+    return bool(np.any(gaps <= _tolerance(values)))
+
+
+def _tolerance(values: np.ndarray) -> float:
+    return values.shape[0] * np.finfo(float).eps * float(np.max(np.abs(values)))
+
+
+def _filtered_top(a: np.ndarray, values: np.ndarray, k: int) -> np.ndarray | None:
+    """The top k eigenvectors of ``a`` from a Chebyshev filter and a
+    Rayleigh–Ritz step, or None where ``eigh`` should answer instead.
+
+    ``values`` are ``a``'s eigenvalues, descending, with λₖ > λₖ₊₁. The
+    polynomial is T_m on [λₙ, λₖ₊₁] scaled to 1 at λₖ: at most 1 / T_m(t)
+    on the rest of the spectrum and at least 1 on the top k.
+    """
+    n = a.shape[0]
+    lo, hi, at = values[-1], values[k], values[k - 1]
+    center, half_width = (hi + lo) / 2.0, (hi - lo) / 2.0
+    # T_m(t) grows as cosh(m * acosh(t)), t the image of λₖ.
+    sigma = half_width / (at - center)
+    rate = math.acosh(1.0 / sigma) if sigma > 0.0 else math.inf
+    if rate * FILTER_DEGREE_MAX < _FILTER_DECAY:
+        return None
+    degree = max(1, math.ceil(_FILTER_DECAY / rate))
+    if 2 * degree * k * n * n > _EIGH_FLOPS * n**3:
+        return None
+    tol = _tolerance(values)
+    x = np.random.default_rng(0).standard_normal((n, k))
+    for _ in range(2):
+        x, converged = _rayleigh_ritz(
+            a, _chebyshev(a, x, degree, center, half_width, at), values[:k], tol
+        )
+        if converged:
+            return _positive_peaks(x)
+    return None
+
+
+def _chebyshev(
+    a: np.ndarray, x: np.ndarray, degree: int, center: float, half_width: float, at: float
+) -> np.ndarray:
+    """p(a) @ x for p(λ) = T_m((λ - center) / half_width) / T_m(t), with t
+    the image of ``at``, by the scaled three-term recurrence, whose terms
+    stay of order one (Zhou, Saad, Tiago & Chelikowsky 2006, algorithm 3.2).
+    Degree 1 does not divide by ``half_width``, which may then be 0."""
+    sigma_1 = half_width / (at - center)
+    y_prev, y = x, (a @ x - center * x) / (at - center)
+    sigma = sigma_1
+    for _ in range(degree - 1):
+        s = 1.0 / (2.0 / sigma_1 - sigma)
+        y_prev, y = y, (a @ y - center * y) * (2.0 * s / half_width) - (sigma * s) * y_prev
+        sigma = s
+    return y
+
+
+def _rayleigh_ritz(
+    a: np.ndarray, y: np.ndarray, values: np.ndarray, tol: float
+) -> tuple[np.ndarray, bool]:
+    """Ritz vectors of ``a`` on the span of ``y``, by descending Ritz value,
+    and whether every Ritz value is within ``tol`` of its entry of
+    ``values`` with a residual norm of at most ``tol``."""
+    q = np.linalg.qr(y)[0]
+    aq = a @ q
+    h = q.T @ aq
+    theta, w = np.linalg.eigh((h + h.T) / 2.0)
+    theta, w = theta[::-1], w[:, ::-1]
+    vectors = q @ w
+    residual = aq @ w - vectors * theta
+    worst = math.sqrt(np.max(np.sum(residual * residual, axis=0)))
+    return vectors, worst <= tol and float(np.max(np.abs(theta - values))) <= tol
 
 
 def _pack_reflectors(c: np.ndarray) -> np.ndarray:
@@ -207,17 +345,18 @@ def _symmetric(m) -> np.ndarray:
     return a
 
 
-def symmetric_eigen(m) -> EigenPairs:
+def symmetric_eigen(m, *, check: bool = True) -> EigenPairs:
     """Full eigendecomposition of a symmetric matrix, sorted descending.
 
     Exactly symmetric input is decomposed as is, without a copy: averaging
     it with its transpose would give back the same bits. Other input is
     averaged first, and a symmetry defect above ``SYMMETRY_RTOL`` times the
-    largest entry magnitude is rejected. Each eigenvector is unit norm with
-    its largest-magnitude entry made positive, so identical input yields
-    identical output.
+    largest entry magnitude is rejected. ``check=False`` skips that for a
+    matrix that ``top_spectrum`` has already checked. Each eigenvector is
+    unit norm with its largest-magnitude entry made positive, so identical
+    input yields identical output.
     """
-    values, vectors = np.linalg.eigh(_symmetric(m))
+    values, vectors = np.linalg.eigh(_symmetric(m) if check else m)
     # eigh returns ascending order; flip to descending. For equal values the
     # solver's ordering is kept, which is deterministic for identical input.
     values = values[::-1].copy()
@@ -225,23 +364,32 @@ def symmetric_eigen(m) -> EigenPairs:
     return EigenPairs(values=values, vectors=vectors)
 
 
-def top_spectrum(m) -> EigenPairs | TridiagonalSpectrum:
+def top_spectrum(
+    m, *, eigengap: bool = False
+) -> EigenPairs | TridiagonalSpectrum | FilteredSpectrum:
     """Every eigenvalue of a symmetric matrix, descending, and ``top(k)``
     for the eigenvectors of the k largest.
 
-    Input is checked and symmetrized as by ``symmetric_eigen``. From
+    Input is checked and symmetrized once, as by ``symmetric_eigen``. From
     ``N_MIN`` rows on, with scipy installed, the matrix is tridiagonalized
     once and only the eigenvalues are computed here (see
-    ``TridiagonalSpectrum``); otherwise this is ``symmetric_eigen``.
+    ``TridiagonalSpectrum``). Otherwise a caller that picks k at the
+    eigengap (``eigengap=True``) gets the eigenvalues from ``eigvalsh`` and
+    the vectors from a Chebyshev filter (see ``FilteredSpectrum``), and any
+    other caller gets ``symmetric_eigen``.
     """
     a = _symmetric(m)
     n = a.shape[0]
-    if n < N_MIN:
-        return symmetric_eigen(a)
-    try:
-        from scipy.linalg import lapack
-    except ImportError:
-        return symmetric_eigen(a)
+    lapack = None
+    if n >= N_MIN:
+        try:
+            from scipy.linalg import lapack
+        except ImportError:
+            pass
+    if lapack is None:
+        if eigengap:
+            return FilteredSpectrum(values=np.linalg.eigvalsh(a)[::-1].copy(), matrix=a)
+        return symmetric_eigen(a, check=False)
     # The blocked reduction needs dsytrd's optimal workspace; the wrapper's
     # default (n) runs the unblocked code, half again slower at n = 1200.
     lwork, _ = lapack.dsytrd_lwork(n, lower=1)
@@ -250,7 +398,7 @@ def top_spectrum(m) -> EigenPairs | TridiagonalSpectrum:
     )
     values, info = lapack.dsterf(diagonal, offdiagonal)
     if info != 0:
-        return symmetric_eigen(a)
+        return symmetric_eigen(a, check=False)
     return TridiagonalSpectrum(
         values=values[::-1].copy(), matrix=a, reflectors=_pack_reflectors(reflectors), tau=tau,
         diagonal=diagonal, offdiagonal=offdiagonal,

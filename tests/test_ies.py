@@ -348,3 +348,35 @@ class TestOverflowingDistances:
         with pytest.raises(InvalidDataError):
             els_cluster(data * 1e160, master_seed=0)
 
+
+class TestSpectrumPath:
+    """Nodes below N_MIN that pick k at the eigengap take every eigenvalue
+    from eigvalsh and the top k vectors from a Chebyshev filter; a caller
+    with a fixed k keeps the full eigh."""
+
+    @pytest.fixture
+    def eigh_shapes(self, monkeypatch):
+        shapes = []
+        original = linalg.symmetric_eigen
+
+        def recorded(m, **kwargs):
+            shapes.append(np.shape(m))
+            return original(m, **kwargs)
+
+        monkeypatch.setattr(linalg, "symmetric_eigen", recorded)
+        return shapes
+
+    def test_ies_local_tree_without_full_eigh(self, eigh_shapes):
+        # Close enough that no top eigenvalue of the root is tied with
+        # another (a tie there takes eigh), far enough to split cleanly.
+        data, labels = separated_blobs([200] * 4, separation=10.0, spread=1.0, dims=4, seed=0)
+        out = ies_cluster(data, "local", master_seed=0)
+        assert out.root.size == 800 and out.root.estimated_k == 4
+        assert partition_of(out.leaf_assignments) == partition_of(labels)
+        assert eigh_shapes == []
+
+    def test_njw_keeps_full_eigh(self, eigh_shapes):
+        data, labels = separated_blobs([200] * 4, separation=10.0, spread=1.0, dims=4, seed=0)
+        out = njw_outcome(data, 4, master_seed=0)
+        assert partition_of(out.leaf_assignments) == partition_of(labels)
+        assert (800, 800) in eigh_shapes

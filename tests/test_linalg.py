@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,10 +17,14 @@ from iescluster.errors import (
     InvalidDataError,
     InvalidParameterError,
 )
+from iescluster import linalg
 from iescluster.affinity import normalized_laplacian
+from iescluster.eigengap import eigengap_k
 from iescluster.linalg import (
+    FILTER_DEGREE_MAX,
     N_MIN,
     EigenPairs,
+    FilteredSpectrum,
     TridiagonalSpectrum,
     covariance,
     pairwise_distances,
@@ -253,6 +258,191 @@ class TestTopSpectrum:
         env = dict(os.environ, PYTHONPATH=src)
         code = "import sys, iescluster; sys.exit('scipy' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+@st.composite
+def blob_laplacians(draw):
+    """Global-scale normalized Laplacian of 2-6 separated Gaussian groups of
+    15-100 points each, below N_MIN."""
+    groups = draw(st.integers(min_value=2, max_value=6))
+    sizes = draw(st.lists(st.integers(15, 100), min_size=groups, max_size=groups))
+    spread = draw(st.sampled_from([0.05, 1.0, 5.0, 15.0]))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    x, _ = separated_blobs(sizes, spread=spread, dims=groups, seed=seed)
+    return normalized_laplacian(build_affinity(x, estimate_global_sigma(x)))
+
+
+def with_spectrum(values, seed=0):
+    """A symmetric matrix with the given eigenvalues in a random basis."""
+    values = np.asarray(values, dtype=float)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((values.size,) * 2))
+    a = (q * values) @ q.T
+    return (a + a.T) / 2
+
+
+def bulk_below(top, n, lo, hi):
+    """``top`` followed by n - len(top) values spread evenly over [lo, hi]."""
+    return np.concatenate([top, np.linspace(hi, lo, n - len(top))])
+
+
+def ritz_residuals(a, x):
+    """Each column's Rayleigh quotient and residual norm |A x - theta x|."""
+    ax = a @ x
+    theta = np.sum(x * ax, axis=0)
+    return theta, np.linalg.norm(ax - x * theta, axis=0)
+
+
+def no_eigh():
+    """Make any full eigendecomposition fail the test."""
+    return mock.patch.object(
+        linalg, "symmetric_eigen", side_effect=AssertionError("eigh fallback taken")
+    )
+
+
+class TestFilteredSpectrum:
+    """The eigengap callers' path below N_MIN: eigvalsh for the values, a
+    Chebyshev filter plus Rayleigh-Ritz for the top k vectors, eigh (the
+    oracle) wherever the filter would not be sure."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(blob_laplacians())
+    def test_matches_oracle_within_residual_over_gap(self, lap):
+        n = lap.shape[0]
+        oracle = symmetric_eigen(lap)
+        spec = top_spectrum(lap, eigengap=True)
+        assert isinstance(spec, FilteredSpectrum)
+        assert np.max(np.abs(spec.values - oracle.values)) <= 1e-12
+        k = eigengap_k(spec.values).k
+        assert k > 1
+        with no_eigh():
+            x = spec.top(k)
+        assert x.shape == (n, k)
+        assert np.max(np.abs(x.T @ x - np.eye(k))) <= 1e-12
+        # Every column is an eigenvector of its eigenvalue, in order, to the
+        # filter's own acceptance tolerance.
+        tol = n * np.finfo(float).eps * np.max(np.abs(spec.values))
+        theta, residuals = ritz_residuals(lap, x)
+        assert np.max(np.abs(theta - spec.values[:k])) <= tol
+        assert np.max(residuals) <= tol
+        # Davis-Kahan sin(theta): each basis is within its residual over its
+        # distance to lambda_k+1 of the true subspace, so within the sum of
+        # the two of each other.
+        p = oracle.vectors[:, :k]
+        bound = 0.0
+        for v in (x, p):
+            theta, residuals = ritz_residuals(lap, v)
+            bound += np.linalg.norm(residuals) / (theta.min() - oracle.values[k])
+        assert np.linalg.norm(x - p @ (p.T @ x), 2) <= bound
+        tops = x[np.argmax(np.abs(x), axis=0), np.arange(k)]
+        assert np.all(tops > 0)
+
+    @settings(max_examples=10, deadline=None)
+    @given(blob_laplacians())
+    def test_repeatable(self, lap):
+        a, b = top_spectrum(lap, eigengap=True), top_spectrum(lap.copy(), eigengap=True)
+        k = eigengap_k(a.values).k
+        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.top(k), b.top(k))
+
+    @pytest.mark.parametrize(
+        "case",
+        ["near-tie cut", "tie at the cut", "degenerate top", "degree cap", "cost cap",
+         "residual twice", "k = n"],
+    )
+    def test_refusals_return_oracle_bits(self, case):
+        a, k, k_min = self.refusal(case)
+        spec = top_spectrum(a, eigengap=True)
+        assert isinstance(spec, FilteredSpectrum)
+        assert np.array_equal(spec.top(k, k_min), symmetric_eigen(a).top(k))
+
+    @staticmethod
+    def refusal(case):
+        """(matrix, k, k_min) whose top(k) the filter must leave to eigh."""
+        if case == "near-tie cut":
+            # lambda_2 - lambda_3 = 1e-15, far below n * eps.
+            return with_spectrum(bulk_below([1.0, 0.5 + 1e-15, 0.5], 200, -0.2, 0.2)), 2, None
+        if case == "tie at the cut":
+            # Disconnected: lambda_1 = lambda_2 = 1, so the top-1 subspace
+            # is not determined.
+            return normalized_laplacian(ideal_block_affinity([70, 90])), 1, None
+        if case == "degenerate top":
+            # lambda_1 = lambda_2 = lambda_3 = 1 up to rounding, with a wide
+            # cut at 3: the subspace is determined, but not its basis, and
+            # the filter's basis would be another rotation than eigh's.
+            return normalized_laplacian(ideal_block_affinity([40, 50, 60])), 3, None
+        if case == "degree cap":
+            # A clear gap, but narrow against the bulk's width: degree 182.
+            return with_spectrum(bulk_below([1.0, 0.995], 200, -0.975, 0.975)), 2, None
+        if case == "cost cap":
+            # Degree 13 at k = 25, n = 60: 2 * 13 * 25 * n^2 flops > 9 n^3.
+            top = np.linspace(1.0, 0.9, 25)
+            return with_spectrum(bulk_below(top, 60, -0.1, 0.1)), 25, None
+        if case == "residual twice":
+            # lambda_1 is amplified about 1e19 times more than lambda_2 at the
+            # degree this gap needs (34), which swamps lambda_2's direction:
+            # the first round's residual is about 0.08, the second's 1e-12,
+            # both above n * eps.
+            return with_spectrum(bulk_below([1.0, 0.3], 200, -0.1, 0.2)), 2, None
+        # k = n: there is no lambda_k+1 to filter against.
+        return with_spectrum(np.linspace(1.0, -1.0, 7)), 7, None
+
+    def test_degree_cap_is_the_reason(self):
+        # The degree-cap case is no tie (gap 0.02, bulk 1.95 wide), and the
+        # filter converges on it when uncapped.
+        a, k, _ = self.refusal("degree cap")
+        values = top_spectrum(a, eigengap=True).values
+        assert values[k - 1] - values[k] > 0.01
+        with mock.patch.object(linalg, "FILTER_DEGREE_MAX", 200), no_eigh():
+            x = top_spectrum(a, eigengap=True).top(k)
+        p = symmetric_eigen(a).vectors[:, :k]
+        assert np.linalg.norm(x - p @ (p.T @ x)) <= 1e-12
+        assert FILTER_DEGREE_MAX < 182
+
+    def test_point_bulk_needs_degree_one(self):
+        # Every eigenvalue below the top 2 is exactly 0.1, so the damped
+        # interval is a point, of width 0, and one step of
+        # (A - lambda_n) / (lambda_2 - lambda_n) removes it.
+        a = np.diag(bulk_below([1.0, 0.5], 100, 0.1, 0.1))
+        spec = top_spectrum(a, eigengap=True)
+        with no_eigh(), mock.patch.object(linalg, "_chebyshev", wraps=linalg._chebyshev) as filt:
+            x = spec.top(2)
+        assert filt.call_args.args[2] == 1
+        p = symmetric_eigen(a).vectors[:, :2]
+        assert np.linalg.norm(x - p @ (p.T @ x)) <= 1e-12
+
+    def test_symmetry_checked_once(self, monkeypatch):
+        # The n x n symmetry check runs once per spectrum, on every path:
+        # the filter, its eigh fallback, and a fixed-k caller's eigh.
+        filtered = with_spectrum(bulk_below([1.0, 0.6], 100, -0.2, 0.2))
+        tied = normalized_laplacian(ideal_block_affinity([70, 90]))
+        calls = []
+        check = linalg._symmetric
+        monkeypatch.setattr(linalg, "_symmetric", lambda m: calls.append(1) or check(m))
+        for a, eigengap in ((filtered, True), (tied, True), (tied, False)):
+            calls.clear()
+            top_spectrum(a, eigengap=eigengap).top(2)
+            assert len(calls) == 1
+
+    def test_above_n_min_without_scipy_filters(self, monkeypatch):
+        lap = nested_laplacian("global")
+        block_scipy(monkeypatch)
+        spec = top_spectrum(lap, eigengap=True)
+        assert isinstance(spec, FilteredSpectrum)
+        with no_eigh():
+            x = spec.top(2)
+        p = symmetric_eigen(lap).vectors[:, :2]
+        assert np.linalg.norm(x - p @ (p.T @ x)) <= 1e-10
+
+    def test_above_n_min_with_scipy_is_tridiagonal(self):
+        pytest.importorskip("scipy")
+        spec = top_spectrum(nested_laplacian("global"), eigengap=True)
+        assert isinstance(spec, TridiagonalSpectrum)
+
+    def test_k_out_of_range(self):
+        spec = top_spectrum(np.eye(5) + 1.0, eigengap=True)
+        for k in (0, 6):
+            with pytest.raises(InvalidParameterError):
+                spec.top(k)
 
 
 class TestCovariance:

@@ -9,8 +9,8 @@ from conftest import (
     separated_blobs,
 )
 from iescluster.affinity import normalized_laplacian
-from iescluster.errors import InvalidParameterError
-from iescluster.njw import njw_cluster, spectral_embed
+from iescluster.errors import DegenerateEmbeddingError, InvalidParameterError
+from iescluster.njw import njw_cluster, row_normalize, spectral_embed
 from iescluster.scaling import ScalingEstimate, estimate_global_sigma, manual_global_sigma
 
 
@@ -102,3 +102,15 @@ class TestNjwCluster:
         assignments = njw_cluster(data, 3, scaling, seed=2)
         relabeled = (assignments + 1) % (assignments.max() + 1)
         assert partition_of(assignments) == partition_of(relabeled)
+
+
+class TestRowNormalize:
+    def test_zero_rows_reported_by_count_and_first_five(self):
+        vectors = np.ones((1000, 2))
+        zero = [2, 5, 7, 11, 13, 17] + list(range(300, 1000))
+        vectors[zero] = 0.0
+        with pytest.raises(DegenerateEmbeddingError) as err:
+            row_normalize(vectors)
+        assert str(err.value) == (
+            "706 embedding rows are numerically zero (first: [2, 5, 7, 11, 13])"
+        )
