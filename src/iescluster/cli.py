@@ -97,6 +97,8 @@ class RunConfig(IesConfig):
             raise InvalidParameterError(
                 "--k-min, --k-max and --elbow-space only apply to mode elbow"
             )
+        if not 0 <= self.master_seed < 2**64:
+            raise InvalidParameterError(f"--seed {self.master_seed} must lie in [0, 2**64)")
         if self.n_workers < 1:
             raise InvalidParameterError("n_workers must be at least 1")
         super().__post_init__()

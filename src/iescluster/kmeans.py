@@ -264,6 +264,8 @@ def kmeans(data, k: int, seed: int, init_centroids=None) -> KMeansResult:
         raise InvalidParameterError(f"k must be at least 1, got {k}")
     if k > n:
         raise InvalidParameterError(f"k={k} exceeds number of points n={n}")
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be nonnegative, got {seed}")
 
     if init_centroids is not None:
         centroids = as_matrix(init_centroids).copy()

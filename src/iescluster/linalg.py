@@ -3,14 +3,17 @@
 Everything here operates on plain float64 ndarrays. Matrices are observations
 in rows, features in columns.
 
-Three symmetric eigensolvers share one output convention (descending
-eigenvalues; each eigenvector's largest-magnitude entry positive):
+Symmetric eigensolves return a ``Spectrum``: every eigenvalue, descending,
+and ``top(k)`` for the eigenvectors of the k largest, each with its
+largest-magnitude entry positive. Two functions build one:
 
-- ``symmetric_eigen`` computes the full decomposition with ``np.linalg.eigh``.
-  It is the reference, the solver of PCA, and every fast path's fallback.
+- ``symmetric_eigen`` computes the full decomposition with ``np.linalg.eigh``
+  and keeps every vector. It is the reference, the solver of PCA, and every
+  fast path's fallback.
 - ``top_spectrum`` serves the spectral chain, which needs every eigenvalue
   (for the eigengap) but only the top k eigenvectors (for the split), and
-  none when k = 1. It takes one of three paths:
+  none when k = 1. It computes the values and leaves the vectors to
+  ``top(k)``, by one of three paths:
 
   - From n = ``N_MIN`` on, when scipy is installed, it reduces the matrix
     once to tridiagonal form T = Qᵀ A Q (LAPACK ``dsytrd``) and takes every
@@ -28,13 +31,7 @@ eigenvalues; each eigenvector's largest-magnitude entry positive):
   - Otherwise (a caller with a fixed k, such as NJW and the elbow sweep,
     below ``N_MIN`` or without scipy), ``symmetric_eigen``.
 
-  Both fast paths return ``symmetric_eigen``'s answer when a cut the caller
-  needs falls between two numerically equal eigenvalues (the input then
-  does not determine the subspace). The filter does too when any of the
-  top k eigenvalues are tied (the basis is then not determined), when the
-  degree it needs is over ``FILTER_DEGREE_MAX``, when its products would
-  cost more than ``eigh``, or when its Ritz pairs miss the eigenvalues or
-  leave a residual above n * eps * max|λ| after two rounds.
+  ``Spectrum.top`` lists where a fast path gives way to ``symmetric_eigen``.
 """
 
 from __future__ import annotations
@@ -85,103 +82,48 @@ _EIGH_FLOPS = 9
 
 
 @dataclass(frozen=True)
-class EigenPairs:
-    """Full spectrum of a symmetric matrix, eigenvalues sorted descending.
-
-    ``vectors[:, i]`` is the unit eigenvector paired with ``values[i]``.
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def top(self, k: int, k_min: int | None = None) -> np.ndarray:
-        """Columns are the eigenvectors of the k largest eigenvalues.
-
-        ``k_min`` is accepted for ``TridiagonalSpectrum.top``'s signature;
-        the full decomposition answers every cut exactly as it is.
-        """
-        _check_top_k(k, self.values.shape[0])
-        return self.vectors[:, :k]
-
-
-@dataclass(frozen=True)
-class TridiagonalSpectrum:
-    """Every eigenvalue of a symmetric matrix, descending, plus what it takes
-    to compute the top eigenvectors on demand: the matrix (for the
-    fallback), and from ``dsytrd`` with lower storage the tridiagonal
-    (``diagonal``, ``offdiagonal``) and the n - 1 Householder reflectors of
-    Q (``reflectors``, packed for ``dormqr`` by ``_pack_reflectors``, and
-    ``tau``)."""
+class Spectrum:
+    """Every eigenvalue of a symmetric matrix, descending, and what ``top(k)``
+    needs for the top eigenvectors: ``eigh``'s ``vectors`` (``vectors[:, i]``
+    pairs with ``values[i]``); or the ``matrix``, alone for the Chebyshev
+    filter, or with the ``tridiagonal`` form from ``dsytrd`` with lower
+    storage: its diagonal and off-diagonal, and Q's n - 1 Householder
+    reflectors (packed for ``dormqr`` by ``_pack_reflectors``) and tau."""
 
     values: np.ndarray
-    matrix: np.ndarray
-    reflectors: np.ndarray
-    tau: np.ndarray
-    diagonal: np.ndarray
-    offdiagonal: np.ndarray
+    vectors: np.ndarray | None = None
+    matrix: np.ndarray | None = None
+    tridiagonal: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def top(self, k: int, k_min: int | None = None) -> np.ndarray:
         """Columns are the eigenvectors of the k largest eigenvalues.
 
         The caller uses the first j columns for every j in ``[k_min, k]``
-        (default k alone). If any such cut falls between two eigenvalues
-        within ``n * eps * max|lambda|`` of each other, the subspace is not
-        determined by the input, and ``symmetric_eigen``'s vectors are
-        returned; so they are if inverse iteration fails to converge.
+        (default k alone). Stored vectors answer every cut as they are. A
+        fast path returns ``symmetric_eigen``'s vectors instead where a cut
+        it checks falls between two eigenvalues within ``n * eps * max|λ|``
+        of each other, where inverse iteration fails to converge, and where
+        the filter refuses: for k = n, a degree over ``FILTER_DEGREE_MAX``,
+        products dearer than ``eigh``, or Ritz pairs that miss the
+        eigenvalues or leave a residual above that tolerance twice.
         """
         n = self.values.shape[0]
         _check_top_k(k, n)
-        if _tied_cut(self.values, k, k_min):
-            return symmetric_eigen(self.matrix, check=False).top(k)
-        from scipy.linalg import lapack
-
-        # One block, the top k eigenvalues in ascending order, as dstein takes
-        # them; they are already accurate to O(eps * ||A||), so no bisection.
-        iblock = np.zeros(n, dtype=np.int32)
-        iblock[:k] = 1
-        isplit = np.zeros(n, dtype=np.int32)
-        isplit[0] = n
-        z, info = lapack.dstein(
-            self.diagonal, self.offdiagonal, self.values[k - 1 :: -1], iblock, isplit
-        )
-        if info != 0:
-            return symmetric_eigen(self.matrix, check=False).top(k)
-        # Q = diag(1, Q'), with Q' the product of the reflectors: LAPACK's
-        # dormtr for UPLO='L' is this dormqr call on rows 1..n-1. The
-        # workspace is dormqr's optimum for blocks of up to 64 reflectors (64
-        # per column of z plus the 65 x 64 block factor); a smaller one runs
-        # the unblocked code, 5x slower at k = 95.
-        vectors = np.empty((n, k))
-        vectors[0] = z[0, ::-1]
-        vectors[1:] = lapack.dormqr(
-            "L", "N", self.reflectors, self.tau, z[1:, ::-1], 64 * k + 65 * 64
-        )[0]
-        return _positive_peaks(vectors)
-
-
-@dataclass(frozen=True)
-class FilteredSpectrum:
-    """Every eigenvalue of a symmetric matrix, descending, from
-    ``np.linalg.eigvalsh``, and the matrix, whose top eigenvectors ``top(k)``
-    computes with a Chebyshev filter (see the module docstring)."""
-
-    values: np.ndarray
-    matrix: np.ndarray
-
-    def top(self, k: int, k_min: int | None = None) -> np.ndarray:
-        """Columns are the eigenvectors of the k largest eigenvalues.
-
-        ``symmetric_eigen``'s vectors are returned instead for a tie at any
-        cut from 1 to k (which covers every ``k_min``; at a tie inside the
-        top k the subspace is determined but its basis is not, and the
-        filter's basis would be another rotation than eigh's), for k = n,
-        for a degree over ``FILTER_DEGREE_MAX``, for a filter dearer than
-        ``eigh`` and for a residual check failed twice.
-        """
-        n = self.values.shape[0]
-        _check_top_k(k, n)
+        if self.vectors is not None:
+            return self.vectors[:, :k]
         vectors = None
-        if k < n and not _tied_cut(self.values, k, 1):
+        if self.tridiagonal is not None:
+            # Cuts in [k_min, k]: a tie there leaves the subspace undetermined.
+            # A tie inside [1, k) alone is kept on this path: the 1200-point
+            # local-scale roots of the benchmark tie there (λ₁ = λ₂ = 1) but
+            # not at k, and a wider rule would send them to eigh.
+            if not _tied_cut(self.values, k, k_min):
+                vectors = _tridiagonal_top(self.tridiagonal, self.values, k)
+        elif k < n and not _tied_cut(self.values, k, 1):
+            # Cuts in [1, k], whatever k_min: at a tie inside the top k the
+            # subspace is determined but its basis is not, and the filter's
+            # basis is another rotation than eigh's, which renumbers the
+            # leaves of the report corpus's disconnected layouts.
             vectors = _filtered_top(self.matrix, self.values, k)
         if vectors is None:
             return symmetric_eigen(self.matrix, check=False).top(k)
@@ -199,6 +141,33 @@ def _tied_cut(values: np.ndarray, k: int, k_min: int | None) -> bool:
 
 def _tolerance(values: np.ndarray) -> float:
     return values.shape[0] * np.finfo(float).eps * float(np.max(np.abs(values)))
+
+
+def _tridiagonal_top(tridiagonal: tuple, values: np.ndarray, k: int) -> np.ndarray | None:
+    """The top k eigenvectors from ``Spectrum.tridiagonal``: those of T by
+    inverse iteration, mapped back through Q; None if ``dstein`` fails."""
+    from scipy.linalg import lapack
+
+    diagonal, offdiagonal, reflectors, tau = tridiagonal
+    n = values.shape[0]
+    # One block, the top k eigenvalues in ascending order, as dstein takes
+    # them; they are already accurate to O(eps * ||A||), so no bisection.
+    iblock = np.zeros(n, dtype=np.int32)
+    iblock[:k] = 1
+    isplit = np.zeros(n, dtype=np.int32)
+    isplit[0] = n
+    z, info = lapack.dstein(diagonal, offdiagonal, values[k - 1 :: -1], iblock, isplit)
+    if info != 0:
+        return None
+    # Q = diag(1, Q'), with Q' the product of the reflectors: LAPACK's
+    # dormtr for UPLO='L' is this dormqr call on rows 1..n-1. The
+    # workspace is dormqr's optimum for blocks of up to 64 reflectors (64
+    # per column of z plus the 65 x 64 block factor); a smaller one runs
+    # the unblocked code, 5x slower at k = 95.
+    vectors = np.empty((n, k))
+    vectors[0] = z[0, ::-1]
+    vectors[1:] = lapack.dormqr("L", "N", reflectors, tau, z[1:, ::-1], 64 * k + 65 * 64)[0]
+    return _positive_peaks(vectors)
 
 
 def _filtered_top(a: np.ndarray, values: np.ndarray, k: int) -> np.ndarray | None:
@@ -345,7 +314,7 @@ def _symmetric(m) -> np.ndarray:
     return a
 
 
-def symmetric_eigen(m, *, check: bool = True) -> EigenPairs:
+def symmetric_eigen(m, *, check: bool = True) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix, sorted descending.
 
     Exactly symmetric input is decomposed as is, without a copy: averaging
@@ -361,22 +330,20 @@ def symmetric_eigen(m, *, check: bool = True) -> EigenPairs:
     # solver's ordering is kept, which is deterministic for identical input.
     values = values[::-1].copy()
     vectors = _positive_peaks(vectors[:, ::-1].copy())
-    return EigenPairs(values=values, vectors=vectors)
+    return Spectrum(values=values, vectors=vectors)
 
 
-def top_spectrum(
-    m, *, eigengap: bool = False
-) -> EigenPairs | TridiagonalSpectrum | FilteredSpectrum:
+def top_spectrum(m, *, eigengap: bool = False) -> Spectrum:
     """Every eigenvalue of a symmetric matrix, descending, and ``top(k)``
     for the eigenvectors of the k largest.
 
     Input is checked and symmetrized once, as by ``symmetric_eigen``. From
     ``N_MIN`` rows on, with scipy installed, the matrix is tridiagonalized
-    once and only the eigenvalues are computed here (see
-    ``TridiagonalSpectrum``). Otherwise a caller that picks k at the
-    eigengap (``eigengap=True``) gets the eigenvalues from ``eigvalsh`` and
-    the vectors from a Chebyshev filter (see ``FilteredSpectrum``), and any
-    other caller gets ``symmetric_eigen``.
+    once and only the eigenvalues are computed here. Otherwise a caller
+    that picks k at the eigengap (``eigengap=True``) gets the eigenvalues
+    from ``eigvalsh`` and the vectors from a Chebyshev filter, and any
+    other caller (or a failed ``dsterf``) gets ``symmetric_eigen``. See the
+    module docstring.
     """
     a = _symmetric(m)
     n = a.shape[0]
@@ -386,23 +353,21 @@ def top_spectrum(
             from scipy.linalg import lapack
         except ImportError:
             pass
-    if lapack is None:
-        if eigengap:
-            return FilteredSpectrum(values=np.linalg.eigvalsh(a)[::-1].copy(), matrix=a)
-        return symmetric_eigen(a, check=False)
-    # The blocked reduction needs dsytrd's optimal workspace; the wrapper's
-    # default (n) runs the unblocked code, half again slower at n = 1200.
-    lwork, _ = lapack.dsytrd_lwork(n, lower=1)
-    reflectors, diagonal, offdiagonal, tau, _ = lapack.dsytrd(
-        a.T, lower=1, lwork=int(lwork)
-    )
-    values, info = lapack.dsterf(diagonal, offdiagonal)
-    if info != 0:
-        return symmetric_eigen(a, check=False)
-    return TridiagonalSpectrum(
-        values=values[::-1].copy(), matrix=a, reflectors=_pack_reflectors(reflectors), tau=tau,
-        diagonal=diagonal, offdiagonal=offdiagonal,
-    )
+    if lapack is not None:
+        # The blocked reduction needs dsytrd's optimal workspace; the
+        # wrapper's default (n) runs the unblocked code, half again slower
+        # at n = 1200.
+        lwork, _ = lapack.dsytrd_lwork(n, lower=1)
+        reflectors, diagonal, offdiagonal, tau, _ = lapack.dsytrd(
+            a.T, lower=1, lwork=int(lwork)
+        )
+        values, info = lapack.dsterf(diagonal, offdiagonal)
+        if info == 0:
+            tridiagonal = (diagonal, offdiagonal, _pack_reflectors(reflectors), tau)
+            return Spectrum(values=values[::-1].copy(), matrix=a, tridiagonal=tridiagonal)
+    elif eigengap:
+        return Spectrum(values=np.linalg.eigvalsh(a)[::-1].copy(), matrix=a)
+    return symmetric_eigen(a, check=False)
 
 
 def covariance(data) -> np.ndarray:

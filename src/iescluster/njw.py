@@ -8,7 +8,7 @@ import numpy as np
 from .affinity import affinity_global, affinity_local, normalized_laplacian
 from .errors import DegenerateEmbeddingError, InvalidParameterError
 from .kmeans import kmeans
-from .linalg import EigenPairs, TridiagonalSpectrum, top_spectrum
+from .linalg import Spectrum, top_spectrum
 from .scaling import ScalingEstimate
 
 # Row norms this far below the largest row are treated as numerically zero.
@@ -67,7 +67,7 @@ def node_laplacian(
 
 def node_spectrum(
     data, scaling: ScalingEstimate, distance_exponent: int = 2
-) -> EigenPairs | TridiagonalSpectrum:
+) -> Spectrum:
     """Laplacian -> spectrum for one set of points: the one spectral chain
     behind the IES node step (which runs its two stages itself, to release a
     local affinity's distance buffer in between), NJW and the elbow sweep.

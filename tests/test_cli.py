@@ -390,6 +390,21 @@ class TestCommandLine:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: --k-min 5 and --k-max 2")
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    @pytest.mark.parametrize(
+        "command", [["run", "--mode", "ies-global"], ["elbow", "--k-min", "1", "--k-max", "3"]],
+        ids=["run", "elbow"],
+    )
+    def test_seed_out_of_range_is_config_error(self, labeled_csv, tmp_path, capsys, command, seed):
+        out = tmp_path / "out"
+        code = main([
+            *command, "--input", str(labeled_csv), "--label-col", "label",
+            "--has-header", "--seed", seed, "--output", str(out),
+        ])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"error: --seed {seed} must lie in [0, 2**64)\n"
+
     def test_synth_subcommand(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({

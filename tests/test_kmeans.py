@@ -89,6 +89,10 @@ class TestKMeans:
         with pytest.raises(InvalidParameterError):
             kmeans(data, 4, seed=0)
 
+    def test_negative_seed(self):
+        with pytest.raises(InvalidParameterError, match="seed must be nonnegative"):
+            kmeans(np.zeros((3, 1)), 2, seed=-1)
+
     def test_internal_sse_consistency(self, rng):
         data = rng.normal(0, 1, (30, 2))
         result = kmeans(data, 4, seed=7)

@@ -277,3 +277,8 @@ class TestElbowSweep:
             elbow_sweep(data, (2, 9), scaling, seed=0)
         with pytest.raises(InvalidParameterError):
             elbow_sweep(data, (4, 2), scaling, seed=0)
+
+    def test_negative_seed(self, rng):
+        data = rng.normal(0, 1, (8, 2))
+        with pytest.raises(InvalidParameterError, match="seed must be nonnegative"):
+            elbow_sweep(data, (1, 3), estimate_global_sigma(data), seed=-1)
