@@ -17,9 +17,8 @@ layouts cover one- to many-level trees, isolated-point ejection (far
 outliers, and an affinity row that underflows at a fixed sigma^2), identical
 points, 60 features, and (for data seed 0 only) a root of 1050 points, at
 least `linalg.N_MIN`, so that with scipy installed the top-k tridiagonal
-eigensolver runs; the flag sets cover every mode, `--workers`,
-`--sigma`, `njw --k`, the distance exponent and kNN knobs, both seeds and a
-usage error.
+eigensolver runs; the flag sets cover every mode, `--sigma`, `njw --k`,
+the distance exponent and kNN knobs, both seeds and a usage error.
 
 Usage: python scripts/report_corpus.py OUT_DIR
 """
@@ -92,8 +91,6 @@ def flag_sets() -> list:
         sets += [["run", "--mode", mode] + s
                  for mode in ("ies-global", "ies-local", "els", "legacy-eigengap")]
         sets += [["run", "--mode", "njw", "--k", k] + s for k in ("2", "3", "5")]
-        sets += [["run", "--mode", mode, "--workers", "2"] + s
-                 for mode in ("ies-global", "ies-local")]
         sets += [["run", "--mode", "legacy-eigengap", "--sigma", "1.5"] + s,
                  ["run", "--mode", "njw", "--k", "2", "--sigma", "1.5"] + s,
                  ["run", "--mode", "ies-local", "--distance-exponent", "1", "--knn", "3"] + s]

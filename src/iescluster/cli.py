@@ -14,7 +14,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .scaling import estimate_global_sigma, manual_global_sigma
 from .synth import generate_synthetic, spec_from_json
 from .validation import association_matrix, confusion_from_association, elbow_sweep, metrics
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CLUSTER_MODES = ("ies-global", "ies-local", "els", "njw", "legacy-eigengap")
 MODES = CLUSTER_MODES + ("elbow",)
@@ -50,7 +50,7 @@ _SIGMA_OVERRIDE_MODES = ("njw", "legacy-eigengap", "elbow")
 # The report's "params" block.
 _PARAMS = (
     "sigma_override", "k_override", *(f.name for f in fields(IesConfig)),
-    "master_seed", "n_workers",
+    "master_seed",
 )
 
 
@@ -67,7 +67,6 @@ class RunConfig(IesConfig):
     elbow_space: str = "embedding"
     elbow_k_min: int | None = None
     elbow_k_max: int | None = None
-    n_workers: int = 1
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -99,13 +98,7 @@ class RunConfig(IesConfig):
             )
         if not 0 <= self.master_seed < 2**64:
             raise InvalidParameterError(f"--seed {self.master_seed} must lie in [0, 2**64)")
-        if self.n_workers < 1:
-            raise InvalidParameterError("n_workers must be at least 1")
         super().__post_init__()
-
-    def ies_config(self) -> IesConfig:
-        """The knobs alone, as a plain IesConfig."""
-        return IesConfig(**{f.name: getattr(self, f.name) for f in fields(IesConfig)})
 
 
 def _sigma_trace(outcome: ClusteringOutcome) -> list[dict]:
@@ -144,44 +137,24 @@ def _tree_json(outcome: ClusteringOutcome) -> list[dict]:
     ]
 
 
-def _json_label(value):
-    return value.item() if isinstance(value, np.generic) else value
-
-
 def _metrics_json(assignments, labels, n_clusters: int) -> dict:
+    # association_matrix builds its ids with tolist(), so every id is
+    # already a Python scalar that json can write (tuples become lists).
     am = association_matrix(assignments, labels)
     cm = confusion_from_association(am)
-    report = metrics(cm, n_clusters)
     return {
         "n_clusters": n_clusters,
         "association": {
-            "label_ids": [_json_label(v) for v in am.label_ids],
-            "cluster_ids": [_json_label(v) for v in am.cluster_ids],
+            "label_ids": am.label_ids,
+            "cluster_ids": am.cluster_ids,
             "counts": am.counts.tolist(),
         },
         "confusion": {
-            "label_ids": [_json_label(v) for v in cm.label_ids],
+            "label_ids": cm.label_ids,
             "counts": cm.counts.tolist(),
-            "cluster_label_map": [
-                [_json_label(c), _json_label(l)] for c, l in sorted(cm.cluster_label_map.items())
-            ],
+            "cluster_label_map": sorted(cm.cluster_label_map.items()),
         },
-        "accuracy": report.accuracy,
-        "precision": report.precision,
-        "recall": report.recall,
-        "f_measure": report.f_measure,
-        "per_label": [
-            {
-                "label": _json_label(m.label),
-                "precision": m.precision,
-                "recall": m.recall,
-                "f_measure": m.f_measure,
-                "support": m.support,
-            }
-            for m in report.per_label
-        ],
-        "indicator_cluster_ratio": report.indicator_cluster_ratio,
-        "indicator_label_recovery": report.indicator_label_recovery,
+        **asdict(metrics(cm, n_clusters)),
     }
 
 
@@ -193,7 +166,6 @@ def run(config: RunConfig, dataset: Dataset):
     """Execute one mode. Cluster modes return a JSON-ready report dict; the
     elbow mode returns the (k, sse) curve rows instead."""
     features = dataset.features
-    cfg = config.ies_config()
     seed = config.master_seed
     sigma = None if config.sigma_override is None else manual_global_sigma(config.sigma_override)
 
@@ -210,15 +182,15 @@ def run(config: RunConfig, dataset: Dataset):
         )
 
     if config.mode == "ies-global":
-        outcome = ies_cluster(features, "global", cfg, seed, n_workers=config.n_workers)
+        outcome = ies_cluster(features, "global", config, seed)
     elif config.mode == "ies-local":
-        outcome = ies_cluster(features, "local", cfg, seed, n_workers=config.n_workers)
+        outcome = ies_cluster(features, "local", config, seed)
     elif config.mode == "els":
-        outcome = els_cluster(features, cfg, seed)
+        outcome = els_cluster(features, config, seed)
     elif config.mode == "legacy-eigengap":
-        outcome = legacy_eigengap_cluster(features, cfg, seed, sigma=sigma)
+        outcome = legacy_eigengap_cluster(features, config, seed, sigma=sigma)
     else:  # njw
-        outcome = njw_outcome(features, config.k_override, cfg, seed, sigma=sigma)
+        outcome = njw_outcome(features, config.k_override, config, seed, sigma=sigma)
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -269,9 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--depth-cap", type=int)
     p_run.add_argument("--distance-exponent", type=int, choices=(1, 2))
     p_run.add_argument("--seed", type=int, dest="master_seed")
-    p_run.add_argument("--workers", type=int, dest="n_workers",
-                       help="accepted and ignored: nodes run on one thread, and "
-                            "BLAS already uses every core")
 
     p_elbow = sub.add_parser("elbow", help="write a k,sse elbow curve as CSV",
                              argument_default=argparse.SUPPRESS)

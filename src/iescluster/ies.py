@@ -290,7 +290,8 @@ def ies_cluster(
 
     ``mode`` selects per-node scaling: "global" (PCA-based) or "local"
     (k-nearest-neighbor). ``n_workers`` is accepted and ignored: every node
-    runs on the calling thread. A thread pool over the nodes of a level won
+    runs on the calling thread. It stays because the benchmark's threaded
+    operation still passes it. A thread pool over the nodes of a level won
     on no benchmark workload, because the eigensolve and the distance
     products already keep every core busy in BLAS, and it was the slowest
     path on 200-feature data. Each node's seed derives from its path, so no

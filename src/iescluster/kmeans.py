@@ -104,16 +104,11 @@ def cluster_means(x: np.ndarray, assignments: np.ndarray, counts: np.ndarray) ->
     return sums / np.maximum(counts, 1)[:, None]
 
 
-def farthest_point_init(data, k: int, first_index: int) -> np.ndarray:
-    """k starting centroids: the given first point, then greedy farthest."""
-    x = as_matrix(data)
-    return x[_farthest_points(x, k, int(first_index), {})].copy()
-
-
 def _farthest_points(x: np.ndarray, k: int, first: int, rows: dict) -> list:
-    """Indices of ``farthest_point_init``'s centroids. ``rows`` maps a point
-    index to its squared distances to every point; restarts on the same
-    ``x`` share it, and each row is computed once by the same expression."""
+    """Indices of k starting centroids: ``first``, then greedy farthest.
+    ``rows`` maps a point index to its squared distances to every point;
+    restarts on the same ``x`` share it, and each row is computed once by
+    the same expression."""
 
     def row(i: int) -> np.ndarray:
         if i not in rows:
@@ -249,14 +244,12 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray) -> KMeansResult:
     )
 
 
-def kmeans(data, k: int, seed: int, init_centroids=None) -> KMeansResult:
+def kmeans(data, k: int, seed: int) -> KMeansResult:
     """Lloyd iteration until no centroid moves by 1e-8 or more, or 300 passes.
 
     Clusters that lose all members are dropped, so the effective number of
     clusters can shrink; final assignments are renumbered densely. The result
-    is deterministic for fixed (data, k, seed). ``init_centroids`` overrides
-    initialization with k explicit starting centroids and disables restarts,
-    e.g. to share starting points across runs.
+    is deterministic for fixed (data, k, seed).
     """
     x = as_matrix(data)
     n = x.shape[0]
@@ -266,16 +259,6 @@ def kmeans(data, k: int, seed: int, init_centroids=None) -> KMeansResult:
         raise InvalidParameterError(f"k={k} exceeds number of points n={n}")
     if seed < 0:
         raise InvalidParameterError(f"seed must be nonnegative, got {seed}")
-
-    if init_centroids is not None:
-        centroids = as_matrix(init_centroids).copy()
-        if centroids.shape[1] != x.shape[1]:
-            raise DimensionError("init_centroids dimension mismatch")
-        if centroids.shape[0] != k:
-            raise DimensionError(
-                f"init_centroids has {centroids.shape[0]} rows, expected k={k}"
-            )
-        return _lloyd(x, centroids)
 
     rng = np.random.default_rng(seed)
     rows: dict = {}

@@ -31,21 +31,29 @@ class SyntheticSpec:
     noise_sd: float = 0.0
 
 
+def _integer(value, name: str, low: int) -> int:
+    """``value`` as an int, where an integral float counts; anything else,
+    or a value below ``low``, raises InvalidParameterError naming ``name``."""
+    number = float(value)
+    if not (number.is_integer() and number >= low):
+        kind = "a nonnegative integer" if low == 0 else f"an integer of at least {low}"
+        raise InvalidParameterError(f"{name} must be {kind}, got {value}")
+    return int(value)
+
+
 def make_spec(groups, dims: int, seed: int = 0, noise_sd: float = 0.0) -> SyntheticSpec:
     """Validate and normalize a group layout (scalar spreads broadcast).
 
-    The seed must be a nonnegative integer (an integral float counts); the
-    centers, spreads and ``noise_sd`` must be finite.
+    ``dims``, ``seed`` and each group's ``count`` must be integers (an
+    integral float counts); the centers, spreads and ``noise_sd`` must be
+    finite.
     """
-    if dims < 1:
-        raise InvalidParameterError(f"dims must be at least 1, got {dims}")
+    dims = _integer(dims, "dims", 1)
     if not (np.isfinite(noise_sd) and noise_sd >= 0):
         raise InvalidParameterError(
             f"noise_sd must be finite and nonnegative, got {noise_sd}"
         )
-    seed_value = float(seed)
-    if not (seed_value.is_integer() and seed_value >= 0):
-        raise InvalidParameterError(f"seed must be a nonnegative integer, got {seed}")
+    seed = _integer(seed, "seed", 0)
     if not groups:
         raise InvalidParameterError("at least one group is required")
     normalized = []
@@ -68,11 +76,9 @@ def make_spec(groups, dims: int, seed: int = 0, noise_sd: float = 0.0) -> Synthe
                 )
         if not all(np.isfinite(s) and s >= 0 for s in spread):
             raise InvalidParameterError("spreads must be finite and nonnegative")
-        count = int(g["count"])
-        if count < 1:
-            raise InvalidParameterError(f"group count must be at least 1, got {count}")
+        count = _integer(g["count"], "group count", 1)
         normalized.append(GroupSpec(center=center, spread=spread, count=count))
-    return SyntheticSpec(groups=tuple(normalized), dims=dims, seed=int(seed), noise_sd=float(noise_sd))
+    return SyntheticSpec(groups=tuple(normalized), dims=dims, seed=seed, noise_sd=float(noise_sd))
 
 
 def spec_from_json(path) -> SyntheticSpec:

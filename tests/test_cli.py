@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from iescluster.dataset import Dataset, save_dataset
 from iescluster.errors import InvalidParameterError
 from iescluster.ies import IesConfig
 from iescluster.synth import nested_scale_dataset
+from iescluster.validation import association_matrix, confusion_from_association, metrics
 
 
 @pytest.fixture
@@ -97,7 +99,7 @@ class TestDefaults:
         )
         config = config_from_args(args)
         assert config == RunConfig(mode="ies-local")
-        assert config.ies_config() == IesConfig()
+        assert {f.name: getattr(config, f.name) for f in fields(IesConfig)} == asdict(IesConfig())
 
     def test_elbow_defaults_are_ies_config(self):
         args = build_parser().parse_args([
@@ -106,7 +108,7 @@ class TestDefaults:
         ])
         config = config_from_args(args)
         assert config == RunConfig(mode="elbow", elbow_k_min=1, elbow_k_max=4)
-        assert config.ies_config() == IesConfig()
+        assert {f.name: getattr(config, f.name) for f in fields(IesConfig)} == asdict(IesConfig())
 
     def test_every_option_reaches_its_field(self):
         args = build_parser().parse_args([
@@ -114,12 +116,11 @@ class TestDefaults:
             "--sigma", "4.0", "--k", "3", "--variance-threshold", "0.9",
             "--knn", "5", "--search-fraction", "0.4", "--min-node-size", "6",
             "--depth-cap", "9", "--distance-exponent", "1", "--seed", "2",
-            "--workers", "3",
         ])
         assert config_from_args(args) == RunConfig(
             mode="njw", sigma_override=4.0, k_override=3, variance_threshold=0.9,
             knn_k=5, search_fraction=0.4, min_node_size=6, depth_cap=9,
-            distance_exponent=1, master_seed=2, n_workers=3,
+            distance_exponent=1, master_seed=2,
         )
         args = build_parser().parse_args([
             "elbow", "--input", "x.csv", "--output", "y.csv", "--k-min", "2",
@@ -159,7 +160,7 @@ class TestRun:
         assert set(report["params"]) == {
             "sigma_override", "k_override", "variance_threshold", "knn_k",
             "search_fraction", "min_node_size", "depth_cap", "distance_exponent",
-            "master_seed", "n_workers",
+            "master_seed",
         }
 
     def test_metrics_absent_without_labels(self):
@@ -207,7 +208,7 @@ class TestCommandLine:
         ])
         assert code == 0
         report = json.loads(out.read_text())
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["metrics"]["accuracy"] == 1.0
 
     def test_njw_without_k_is_config_error(self, labeled_csv, tmp_path):
@@ -405,6 +406,36 @@ class TestCommandLine:
         assert not out.exists()
         assert capsys.readouterr().err == f"error: --seed {seed} must lie in [0, 2**64)\n"
 
+    def test_workers_is_usage_error(self, labeled_csv, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "run", "--mode", "ies-global", "--input", str(labeled_csv),
+                "--label-col", "label", "--has-header", "--workers", "2",
+                "--output", str(out),
+            ])
+        assert exit_info.value.code == 2
+        assert not out.exists()
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "dims, count, message",
+        [
+            (1, 4.7, "group count must be an integer of at least 1, got 4.7"),
+            (1.5, 3, "dims must be an integer of at least 1, got 1.5"),
+        ],
+        ids=["fractional-count", "fractional-dims"],
+    )
+    def test_fractional_synth_size_is_config_error(self, tmp_path, capsys, dims, count, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"dims": dims, "groups": [{"center": [0], "spread": 1, "count": count}]}
+        ))
+        out = tmp_path / "synth.csv"
+        assert main(["synth", "--spec", str(spec), "--output", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_synth_subcommand(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({
@@ -445,3 +476,61 @@ class TestCommandLine:
             "--distance-exponent", "2", "--seed", "0", "--output", "y.json",
         ])
         assert args.mode == "njw" and args.k == 3 and args.sigma == 4.0
+
+
+class TestReportLabels:
+    """Reports whose labels are not ints: every id must reach the JSON as
+    itself, and the metric fields are those of ``MetricsReport``."""
+
+    @staticmethod
+    def check_metrics(block, assignments, labels):
+        am = association_matrix(assignments, labels)
+        cm = confusion_from_association(am)
+        expected = {
+            "n_clusters": block["n_clusters"],
+            "association": {
+                "label_ids": am.label_ids,
+                "cluster_ids": am.cluster_ids,
+                "counts": am.counts.tolist(),
+            },
+            "confusion": {
+                "label_ids": cm.label_ids,
+                "counts": cm.counts.tolist(),
+                "cluster_label_map": sorted(cm.cluster_label_map.items()),
+            },
+            **asdict(metrics(cm, block["n_clusters"])),
+        }
+        assert block == json.loads(json.dumps(expected))
+
+    def test_string_labels(self, tmp_path):
+        rng = np.random.default_rng(0)
+        features = np.vstack([rng.normal(0, 0.2, (20, 2)), rng.normal(10, 0.2, (20, 2))])
+        labels = np.array(["G1"] * 20 + ["S"] * 20, dtype=object)
+        data = tmp_path / "named.csv"
+        save_dataset(Dataset(features=features, labels=labels), data)
+        out = tmp_path / "report.json"
+        code = main([
+            "run", "--mode", "ies-global", "--input", str(data),
+            "--label-col", "label", "--has-header", "--output", str(out),
+        ])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["metrics"]["association"]["label_ids"] == ["G1", "S"]
+        assert [m["label"] for m in report["metrics"]["per_label"]] == ["G1", "S"]
+        self.check_metrics(report["metrics"], report["assignments"], labels)
+
+    def test_float_labels(self, tmp_path):
+        # A CSV label column holds ints or strings, so float labels come
+        # from a Dataset built in memory; the report is written as the CLI
+        # writes it.
+        rng = np.random.default_rng(1)
+        features = np.vstack([rng.normal(0, 0.2, (20, 2)), rng.normal(10, 0.2, (20, 2))])
+        labels = np.repeat([1.5, 2.5], 20)
+        report = run(RunConfig(mode="ies-global"), Dataset(features=features, labels=labels))
+        out = tmp_path / "report.json"
+        with open(out, "w") as fh:
+            json.dump(report, fh, indent=2, sort_keys=True)
+        written = json.loads(out.read_text())
+        assert written["metrics"]["confusion"]["label_ids"] == [1.5, 2.5]
+        assert [m["label"] for m in written["metrics"]["per_label"]] == [1.5, 2.5]
+        self.check_metrics(written["metrics"], written["assignments"], labels)

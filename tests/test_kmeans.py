@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from iescluster.errors import DimensionError, InvalidParameterError
 from iescluster.kmeans import (
     _farthest_points,
+    _lloyd,
     _nearest,
     _nearest_exact,
     cluster_means,
-    farthest_point_init,
     kmeans,
     sse,
 )
@@ -134,10 +134,10 @@ class TestKMeans:
         # Index-independent initialization: both runs get the same geometric
         # starting centroids, so permuting rows must permute assignments.
         data = rng.normal(0, 1, (20, 3))
-        init = farthest_point_init(data, 3, first_index=0)
+        init = data[_farthest_points(data, 3, 0, {})].copy()
         perm = rng.permutation(20)
-        r1 = kmeans(data, 3, seed=0, init_centroids=init)
-        r2 = kmeans(data[perm], 3, seed=0, init_centroids=init)
+        r1 = _lloyd(data, init)
+        r2 = _lloyd(data[perm], init)
         assert np.array_equal(r1.assignments[perm], r2.assignments)
 
     def test_matches_exhaustive_often(self, rng):
@@ -441,17 +441,6 @@ class TestFarthestPoints:
             assert np.array_equal(data[shared], farthest_by_loop(data, 20, first))
         for i, row in rows.items():
             assert np.array_equal(bits(row), bits(np.sum((data - data[i]) ** 2, axis=1)))
-
-    def test_public_init_matches_loop(self, rng):
-        data = rng.normal(0.0, 1.0, (60, 4))
-        assert np.array_equal(farthest_point_init(data, 7, 11), farthest_by_loop(data, 7, 11))
-
-
-class TestInitCentroids:
-    def test_row_count_must_equal_k(self, rng):
-        data = rng.normal(0.0, 1.0, (10, 2))
-        with pytest.raises(DimensionError, match="5 rows, expected k=2"):
-            kmeans(data, 2, seed=0, init_centroids=data[:5])
 
 
 class TestNearestLayouts:

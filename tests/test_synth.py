@@ -63,6 +63,30 @@ class TestGenerateSynthetic:
             make_spec([{"center": [0.0], "spread": -1.0, "count": 1}], dims=1)
 
 
+class TestIntegerFields:
+    groups = [{"center": [0.0, 1.0], "spread": 0.5, "count": 6},
+              {"center": [4.0, 4.0], "spread": 0.5, "count": 5}]
+
+    def test_integral_floats_give_the_integer_bits(self):
+        as_float = [dict(g, count=float(g["count"])) for g in self.groups]
+        a = make_spec(self.groups, dims=2, seed=3)
+        b = make_spec(as_float, dims=2.0, seed=3.0)
+        assert a == b
+        assert [type(v) for v in (b.dims, b.seed, *(g.count for g in b.groups))] == [int] * 4
+        assert np.array_equal(generate_synthetic(a).features, generate_synthetic(b).features)
+
+    @pytest.mark.parametrize("count", [4.7, 0.5, float("inf"), float("nan"), 0, -2])
+    def test_count_must_be_a_positive_integer(self, count):
+        groups = [dict(self.groups[0], count=count)]
+        with pytest.raises(InvalidParameterError, match="group count must be an integer"):
+            make_spec(groups, dims=2)
+
+    @pytest.mark.parametrize("dims", [2.5, float("inf"), float("nan"), 0])
+    def test_dims_must_be_a_positive_integer(self, dims):
+        with pytest.raises(InvalidParameterError, match="dims must be an integer"):
+            make_spec(self.groups, dims=dims)
+
+
 class TestNestedScaleDataset:
     def test_two_scale_layout(self):
         ds = nested_scale_dataset(n_per_group=50, dims=20, seed=0)
