@@ -16,9 +16,11 @@ that claims to keep every result must leave the corpus unchanged. The
 layouts cover one- to many-level trees, isolated-point ejection (far
 outliers, and an affinity row that underflows at a fixed sigma^2), identical
 points, 60 features, and (for data seed 0 only) a root of 1050 points, at
-least `linalg.N_MIN`, so that with scipy installed the top-k tridiagonal
-eigensolver runs; the flag sets cover every mode, `--sigma`, `njw --k`,
-the distance exponent and kNN knobs, both seeds and a usage error.
+least `linalg.N_MIN`, so that the top-k tridiagonal eigensolver runs (on
+numpy's bundled OpenBLAS, `iescluster.lapack`; a numpy without it takes
+the numpy-only paths there); the flag sets cover every mode, `--sigma`,
+`njw --k`, the distance exponent and kNN knobs, both seeds and a usage
+error.
 
 Usage: python scripts/report_corpus.py OUT_DIR
 """

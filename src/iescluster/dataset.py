@@ -31,11 +31,18 @@ class Dataset:
 
 
 def _coerce_labels(raw: list[str]) -> np.ndarray:
-    """Keep labels as ints when every value parses as one, else as strings."""
+    """Keep labels as ints when every value parses as one, else as floats
+    when every value parses as a finite one (so ``1`` and ``1.0`` are one
+    label, and ``2`` sorts before ``10``), else as strings."""
     try:
         return np.array([int(v) for v in raw])
     except ValueError:
+        pass
+    try:
+        values = np.array([float(v) for v in raw])
+    except ValueError:
         return np.array(raw, dtype=object)
+    return values if np.all(np.isfinite(values)) else np.array(raw, dtype=object)
 
 
 def load_dataset(path, label_column=None, has_header: bool = False) -> Dataset:

@@ -15,11 +15,12 @@ largest-magnitude entry positive. Two functions build one:
   none when k = 1. It computes the values and leaves the vectors to
   ``top(k)``, by one of three paths:
 
-  - From n = ``N_MIN`` on, when scipy is installed, it reduces the matrix
-    once to tridiagonal form T = Qᵀ A Q (LAPACK ``dsytrd``) and takes every
-    eigenvalue of T (``dsterf``). ``top(k)`` then finds the k eigenvectors
-    of T by inverse iteration (``dstein``) and maps them back through Q
-    (``dormqr``). Every caller of that size takes it.
+  - From n = ``N_MIN`` on, where numpy bundles an ILP64 OpenBLAS (its PyPI
+    wheels; see ``lapack``), it reduces the matrix once to tridiagonal form
+    T = Qᵀ A Q (LAPACK ``dsytrd``) and takes every eigenvalue of T
+    (``dsterf``). ``top(k)`` then finds the k eigenvectors of T by inverse
+    iteration (``dstein``) and maps them back through Q (``dormtr``). Every
+    caller of that size takes it.
   - Otherwise, for a caller that picks k at the eigengap
     (``eigengap=True``: the IES tree, ELS and the legacy eigengap baseline),
     every eigenvalue comes from ``np.linalg.eigvalsh``, and ``top(k)``
@@ -29,7 +30,7 @@ largest-magnitude entry positive. Two functions build one:
     a low degree separates the top k eigenvectors (Parlett 1998, ch. 11).
     It is numpy only and holds no n x n matrix beyond the input.
   - Otherwise (a caller with a fixed k, such as NJW and the elbow sweep,
-    below ``N_MIN`` or without scipy), ``symmetric_eigen``.
+    below ``N_MIN`` or without that library), ``symmetric_eigen``.
 
   ``Spectrum.top`` lists where a fast path gives way to ``symmetric_eigen``.
 """
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import lapack
 from .errors import (
     DegenerateDataError,
     DimensionError,
@@ -52,18 +54,15 @@ from .errors import (
 # Relative symmetry defect tolerated before refusing to decompose.
 SYMMETRY_RTOL = 1e-10
 
-# Smallest order that ``top_spectrum`` tridiagonalizes, when scipy is
-# installed; every caller of that size takes the tridiagonal path, and
-# smaller ones take the Chebyshev filter (eigengap callers) or eigh (callers
-# with a fixed k). Alone, the tridiagonal path beats eigh from n = 60 on a
-# 2-core OpenBLAS host (0.32 against 0.43 ms for a top-3 solve; 23 against
-# 62 ms at n = 600). But scipy brings its own OpenBLAS, whose idle threads
-# spin for about 0.1 s after each call, and numpy work that follows runs
-# slower meanwhile: four small 200-feature trees took 382 ms after a
-# tridiagonal solve against 321 ms after an eigh. With that cost counted,
-# solve plus the trees broke even near n = 900 (-62 ms at 600, +14 ms at
-# 900, +90 ms at 1050, +140 ms at 1200). Smaller inputs never pay scipy's
-# import (0.3-0.4 s, 28 MB).
+# Smallest order that ``top_spectrum`` tridiagonalizes; every caller of that
+# size takes the tridiagonal path, and smaller ones take the Chebyshev filter
+# (eigengap callers) or eigh (callers with a fixed k). The routines run on
+# numpy's own OpenBLAS pool, so nothing slows the numpy work that follows,
+# and on a 2-core host the path is level with eigvalsh plus the filter and
+# 2.0-2.3x faster than eigh at every n from 200 to 1000, that work included.
+# The threshold stays here so that smaller nodes keep the bits of their
+# current paths; ROADMAP item 1 records the timings and the bits a lower
+# threshold would change.
 N_MIN = 1000
 
 # The Chebyshev filter's degree m is the smallest with T_m(t) >= 1 / eps at
@@ -86,9 +85,10 @@ class Spectrum:
     """Every eigenvalue of a symmetric matrix, descending, and what ``top(k)``
     needs for the top eigenvectors: ``eigh``'s ``vectors`` (``vectors[:, i]``
     pairs with ``values[i]``); or the ``matrix``, alone for the Chebyshev
-    filter, or with the ``tridiagonal`` form from ``dsytrd`` with lower
-    storage: its diagonal and off-diagonal, and Q's n - 1 Householder
-    reflectors (packed for ``dormqr`` by ``_pack_reflectors``) and tau."""
+    filter, or with the ``tridiagonal`` form from ``lapack.Lapack.dsytrd``
+    with lower storage, unpacked: Q's n - 1 Householder reflectors in the
+    Fortran-ordered n x n array dsytrd overwrote, T's diagonal and
+    off-diagonal, and tau."""
 
     values: np.ndarray
     vectors: np.ndarray | None = None
@@ -146,28 +146,17 @@ def _tolerance(values: np.ndarray) -> float:
 def _tridiagonal_top(tridiagonal: tuple, values: np.ndarray, k: int) -> np.ndarray | None:
     """The top k eigenvectors from ``Spectrum.tridiagonal``: those of T by
     inverse iteration, mapped back through Q; None if ``dstein`` fails."""
-    from scipy.linalg import lapack
-
-    diagonal, offdiagonal, reflectors, tau = tridiagonal
-    n = values.shape[0]
-    # One block, the top k eigenvalues in ascending order, as dstein takes
-    # them; they are already accurate to O(eps * ||A||), so no bisection.
-    iblock = np.zeros(n, dtype=np.int32)
-    iblock[:k] = 1
-    isplit = np.zeros(n, dtype=np.int32)
-    isplit[0] = n
-    z, info = lapack.dstein(diagonal, offdiagonal, values[k - 1 :: -1], iblock, isplit)
-    if info != 0:
+    reflectors, diagonal, offdiagonal, tau = tridiagonal
+    lib = lapack.library()
+    # dstein takes the eigenvalues in ascending order; they are already
+    # accurate to O(eps * ||A||), so no bisection.
+    z = lib.dstein(diagonal, offdiagonal, values[k - 1 :: -1])
+    if z is None:
         return None
-    # Q = diag(1, Q'), with Q' the product of the reflectors: LAPACK's
-    # dormtr for UPLO='L' is this dormqr call on rows 1..n-1. The
-    # workspace is dormqr's optimum for blocks of up to 64 reflectors (64
-    # per column of z plus the 65 x 64 block factor); a smaller one runs
-    # the unblocked code, 5x slower at k = 95.
-    vectors = np.empty((n, k))
-    vectors[0] = z[0, ::-1]
-    vectors[1:] = lapack.dormqr("L", "N", reflectors, tau, z[1:, ::-1], 64 * k + 65 * 64)[0]
-    return _positive_peaks(vectors)
+    vectors = lib.dormtr(reflectors, tau, np.asfortranarray(z[:, ::-1]))
+    # Row-major, as the other paths return them and as the embedding code
+    # reduces along rows.
+    return _positive_peaks(np.ascontiguousarray(vectors))
 
 
 def _filtered_top(a: np.ndarray, values: np.ndarray, k: int) -> np.ndarray | None:
@@ -232,27 +221,6 @@ def _rayleigh_ritz(
     residual = aq @ w - vectors * theta
     worst = math.sqrt(np.max(np.sum(residual * residual, axis=0)))
     return vectors, worst <= tol and float(np.max(np.abs(theta - values))) <= tol
-
-
-def _pack_reflectors(c: np.ndarray) -> np.ndarray:
-    """``c[1:, :n-1]`` of dsytrd's Fortran-ordered lower-storage output as a
-    contiguous (n-1) x (n-1) matrix, moved in place to the front of ``c``'s
-    buffer, which it overwrites.
-
-    In ``c``, column j holds reflector j below row j + 1, its unit entry
-    implicit at row j + 1; without row 0 that unit is on the diagonal, the
-    layout dormqr reads. LAPACK's dormtr passes this block with ``c``'s
-    leading dimension, but the scipy wrapper takes only contiguous arrays,
-    and a copy would be a third n x n matrix at the node's memory peak.
-    """
-    m = c.shape[0] - 1
-    flat = c.reshape(-1, order="F")
-    for j in range(m):
-        # Column j moves j + 1 places toward the front, over columns that
-        # have already moved and its own old place (numpy buffers that
-        # overlap), never over a column still to move.
-        flat[j * m : (j + 1) * m] = flat[j * (m + 1) + 1 : (j + 1) * (m + 1)]
-    return flat[: m * m].reshape((m, m), order="F")
 
 
 def _check_top_k(k: int, n: int) -> None:
@@ -338,32 +306,21 @@ def top_spectrum(m, *, eigengap: bool = False) -> Spectrum:
     for the eigenvectors of the k largest.
 
     Input is checked and symmetrized once, as by ``symmetric_eigen``. From
-    ``N_MIN`` rows on, with scipy installed, the matrix is tridiagonalized
-    once and only the eigenvalues are computed here. Otherwise a caller
-    that picks k at the eigengap (``eigengap=True``) gets the eigenvalues
-    from ``eigvalsh`` and the vectors from a Chebyshev filter, and any
-    other caller (or a failed ``dsterf``) gets ``symmetric_eigen``. See the
-    module docstring.
+    ``N_MIN`` rows on, where ``lapack.library()`` finds numpy's OpenBLAS,
+    the matrix is tridiagonalized once and only the eigenvalues are
+    computed here. Otherwise a caller that picks k at the eigengap
+    (``eigengap=True``) gets the eigenvalues from ``eigvalsh`` and the
+    vectors from a Chebyshev filter, and any other caller (or a failed
+    ``dsterf``) gets ``symmetric_eigen``. See the module docstring.
     """
     a = _symmetric(m)
     n = a.shape[0]
-    lapack = None
-    if n >= N_MIN:
-        try:
-            from scipy.linalg import lapack
-        except ImportError:
-            pass
-    if lapack is not None:
-        # The blocked reduction needs dsytrd's optimal workspace; the
-        # wrapper's default (n) runs the unblocked code, half again slower
-        # at n = 1200.
-        lwork, _ = lapack.dsytrd_lwork(n, lower=1)
-        reflectors, diagonal, offdiagonal, tau, _ = lapack.dsytrd(
-            a.T, lower=1, lwork=int(lwork)
-        )
-        values, info = lapack.dsterf(diagonal, offdiagonal)
-        if info == 0:
-            tridiagonal = (diagonal, offdiagonal, _pack_reflectors(reflectors), tau)
+    lib = lapack.library() if n >= N_MIN else None
+    if lib is not None:
+        tridiagonal = lib.dsytrd(a)
+        _, diagonal, offdiagonal, _ = tridiagonal
+        values = lib.dsterf(diagonal, offdiagonal)
+        if values is not None:
             return Spectrum(values=values[::-1].copy(), matrix=a, tridiagonal=tridiagonal)
     elif eigengap:
         return Spectrum(values=np.linalg.eigvalsh(a)[::-1].copy(), matrix=a)

@@ -519,10 +519,29 @@ class TestReportLabels:
         assert [m["label"] for m in report["metrics"]["per_label"]] == ["G1", "S"]
         self.check_metrics(report["metrics"], report["assignments"], labels)
 
+    def test_float_label_column(self, tmp_path):
+        # Labels 1 and 1.0 name one group; 2 and 10 sort numerically.
+        rng = np.random.default_rng(2)
+        features = np.vstack([rng.normal(c, 0.2, (20, 2)) for c in (0, 10, 20)])
+        cells = ["1", "1.0"] * 10 + ["10"] * 20 + ["2"] * 20
+        data = tmp_path / "float.csv"
+        rows = [f"{x!r},{y!r},{c}" for (x, y), c in zip(features.tolist(), cells)]
+        data.write_text("a,b,label\n" + "\n".join(rows) + "\n")
+        out = tmp_path / "report.json"
+        code = main([
+            "run", "--mode", "ies-global", "--input", str(data),
+            "--label-col", "label", "--output", str(out),
+        ])
+        assert code == 0
+        report = json.loads(out.read_text())
+        assert report["metrics"]["association"]["label_ids"] == [1.0, 2.0, 10.0]
+        assert [m["label"] for m in report["metrics"]["per_label"]] == [1.0, 2.0, 10.0]
+        labels = np.array([float(c) for c in cells])
+        self.check_metrics(report["metrics"], report["assignments"], labels)
+
     def test_float_labels(self, tmp_path):
-        # A CSV label column holds ints or strings, so float labels come
-        # from a Dataset built in memory; the report is written as the CLI
-        # writes it.
+        # Float labels from a Dataset built in memory; the report is written
+        # as the CLI writes it.
         rng = np.random.default_rng(1)
         features = np.vstack([rng.normal(0, 0.2, (20, 2)), rng.normal(10, 0.2, (20, 2))])
         labels = np.repeat([1.5, 2.5], 20)

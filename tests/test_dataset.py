@@ -3,6 +3,7 @@ import pytest
 
 from iescluster.dataset import Dataset, load_dataset, save_dataset
 from iescluster.errors import InvalidDataError
+from iescluster.validation import association_matrix
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -25,6 +26,20 @@ class TestLoadDataset:
         ds = load_dataset(path, label_column=2)
         assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
         assert ds.labels.tolist() == [10, 20]  # integral labels parsed as ints
+
+    def test_float_label_column_is_numeric(self, tmp_path):
+        # 1 and 1.0 are one label, and 2 sorts before 10.
+        path = write(tmp_path, "0,1\n1,1.0\n2,2\n3,10\n")
+        ds = load_dataset(path, label_column=1)
+        assert ds.labels.tolist() == [1.0, 1.0, 2.0, 10.0]
+        am = association_matrix([0, 0, 1, 2], ds.labels)
+        assert am.label_ids == (1.0, 2.0, 10.0)
+        assert am.counts.tolist() == [[2, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+    @pytest.mark.parametrize("cell", ["x", "nan", "inf"])
+    def test_label_column_with_other_cells_stays_text(self, tmp_path, cell):
+        path = write(tmp_path, f"0,1\n1,1.0\n2,{cell}\n")
+        assert load_dataset(path, label_column=1).labels.tolist() == ["1", "1.0", cell]
 
     def test_negative_label_index(self, tmp_path):
         path = write(tmp_path, "1,2,7\n3,4,8\n")

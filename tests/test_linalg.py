@@ -17,7 +17,7 @@ from iescluster.errors import (
     InvalidDataError,
     InvalidParameterError,
 )
-from iescluster import linalg
+from iescluster import lapack, linalg
 from iescluster.affinity import normalized_laplacian
 from iescluster.eigengap import eigengap_k
 from iescluster.linalg import (
@@ -147,29 +147,44 @@ def nested_laplacian(kind):
     return normalized_laplacian(build_affinity(x, scaling))
 
 
-def block_scipy(monkeypatch):
-    for name in ("scipy", "scipy.linalg", "scipy.linalg.lapack"):
-        monkeypatch.setitem(sys.modules, name, None)
+def block_library(monkeypatch):
+    monkeypatch.setattr(lapack, "library", lambda: None)
+
+
+def fail_routine(monkeypatch, name):
+    """Make the library's ``name`` run and then report INFO = 1."""
+    lib = lapack.library()
+    real = lib._call
+
+    def call(routine, *args):
+        return real(routine, *args) or int(routine == name)
+
+    monkeypatch.setattr(lib, "_call", call)
+
+
+needs_library = pytest.mark.skipif(
+    lapack.library() is None, reason="numpy bundles no ILP64 OpenBLAS"
+)
 
 
 class TestTopSpectrum:
     # The cuts the eigengap picks (2 under global, 3 under local scaling) and
     # their neighbours. Local scaling has lambda_1 = lambda_2 = 1: its k = 1
     # is the degenerate-cut fallback, and k = 2, 3 cut below an exact tie.
+    @needs_library
     @pytest.mark.parametrize("kind", ["global", "local"])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_full_oracle(self, kind, k):
-        pytest.importorskip("scipy")
         lap = nested_laplacian(kind)
         self.check_against_oracle(lap, k)
         # The matrix is only read, so the oracle fallback can still use it.
         assert np.array_equal(lap, nested_laplacian(kind))
 
+    @needs_library
     def test_twelve_disconnected_groups(self):
         # lambda_2..lambda_12 agree to 1e-6 and lie within 1e-4 of 1, while
         # the cut at 12 is wide: the near-tie inside the cut takes the
         # tridiagonal path, and only the subspace is compared.
-        pytest.importorskip("scipy")
         x, _ = separated_blobs([N_MIN // 12 + 5] * 12, dims=12)
         lap = normalized_laplacian(build_affinity(x, estimate_global_sigma(x)))
         self.check_against_oracle(lap, 12)
@@ -185,13 +200,26 @@ class TestTopSpectrum:
         p = oracle.vectors[:, :k]
         assert np.linalg.norm(x - p @ (p.T @ x)) <= 1e-10
         assert np.max(np.abs(x.T @ x - np.eye(k))) <= 1e-12
+        # Column i belongs to the i-th largest eigenvalue.
+        theta, residuals = ritz_residuals(lap, x)
+        assert np.max(np.abs(theta - oracle.values[:k])) <= 1e-12
+        assert np.max(residuals) <= 1e-10
         tops = x[np.argmax(np.abs(x), axis=0), np.arange(k)]
         assert np.all(tops > 0)
 
+    @needs_library
+    @pytest.mark.parametrize("k", [5, 40, 97])
+    def test_bulk_cuts_match_full_oracle(self, k):
+        # Cuts inside the local-scale bulk (gaps 1e-4 to 4e-3), where dormtr
+        # applies Q to many columns.
+        lap = nested_laplacian("local")
+        with no_eigh():
+            self.check_against_oracle(lap, k)
+
+    @needs_library
     def test_degenerate_cut_returns_oracle_bits(self):
         # Two disconnected groups: lambda_1 = lambda_2 = 1, so the top-1
         # subspace is not determined by the matrix.
-        pytest.importorskip("scipy")
         lap = normalized_laplacian(ideal_block_affinity([N_MIN // 2 + 10, N_MIN // 2 + 20]))
         oracle = symmetric_eigen(lap)
         spec = top_spectrum(lap)
@@ -204,35 +232,33 @@ class TestTopSpectrum:
         assert not np.array_equal(x, p)
         assert np.linalg.norm(x - p @ (p.T @ x)) <= 1e-10
 
+    @needs_library
     def test_repeatable(self):
-        pytest.importorskip("scipy")
         lap = nested_laplacian("global")
         a, b = top_spectrum(lap), top_spectrum(lap.copy())
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.top(3), b.top(3))
 
+    @needs_library
     def test_failed_inverse_iteration_returns_oracle_bits(self, monkeypatch):
-        lapack = pytest.importorskip("scipy.linalg.lapack")
         lap = nested_laplacian("global")
         spec = top_spectrum(lap)
-        real = lapack.dstein
-        monkeypatch.setattr(lapack, "dstein", lambda *args: (real(*args)[0], 1))
+        fail_routine(monkeypatch, "dstein")
         assert np.array_equal(spec.top(2), symmetric_eigen(lap).vectors[:, :2])
 
+    @needs_library
     def test_failed_eigenvalues_return_oracle_bits(self, monkeypatch):
-        lapack = pytest.importorskip("scipy.linalg.lapack")
         lap = nested_laplacian("global")
-        real = lapack.dsterf
-        monkeypatch.setattr(lapack, "dsterf", lambda *args: (real(*args)[0], 1))
+        fail_routine(monkeypatch, "dsterf")
         spec = top_spectrum(lap, eigengap=True)
         oracle = symmetric_eigen(lap)
         assert spec.tridiagonal is None and spec.matrix is None
         assert np.array_equal(spec.values, oracle.values)
         assert np.array_equal(spec.top(2), oracle.top(2))
 
-    def test_without_scipy_is_the_oracle(self, monkeypatch):
+    def test_without_library_is_the_oracle(self, monkeypatch):
         lap = nested_laplacian("global")
-        block_scipy(monkeypatch)
+        block_library(monkeypatch)
         spec = top_spectrum(lap)
         oracle = symmetric_eigen(lap)
         assert spec.vectors is not None
@@ -268,11 +294,59 @@ class TestTopSpectrum:
         with pytest.raises(DimensionError):
             top_spectrum(np.zeros((N_MIN, N_MIN + 1)))
 
-    def test_import_leaves_scipy_unloaded(self):
+    @staticmethod
+    def run_isolated(code):
         src = str(Path(__import__("iescluster").__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+    def test_import_leaves_scipy_unloaded(self):
         code = "import sys, iescluster; sys.exit('scipy' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        assert self.run_isolated(code) == 0
+
+    @needs_library
+    def test_tridiagonal_solve_leaves_scipy_unloaded(self):
+        code = (
+            "import sys, numpy as np\n"
+            "from iescluster.linalg import N_MIN, top_spectrum\n"
+            "x = np.random.default_rng(0).standard_normal((N_MIN, N_MIN))\n"
+            "spec = top_spectrum(x + x.T)\n"
+            "assert spec.tridiagonal is not None and spec.top(3).shape == (N_MIN, 3)\n"
+            "sys.exit('scipy' in sys.modules)\n"
+        )
+        assert self.run_isolated(code) == 0
+
+    @pytest.mark.parametrize("eigengap", [False, True])
+    def test_failed_self_check_is_the_numpy_path(self, monkeypatch, request, eigengap):
+        lap = nested_laplacian("global")
+        with monkeypatch.context() as blocked:
+            block_library(blocked)
+            numpy_only = top_spectrum(lap, eigengap=eigengap)
+            expected = numpy_only.values, numpy_only.top(3)
+        request.addfinalizer(lapack.library.cache_clear)
+        monkeypatch.setattr(lapack, "_self_check", lambda lib: False)
+        lapack.library.cache_clear()
+        assert lapack.library() is None
+        spec = top_spectrum(lap, eigengap=eigengap)
+        assert spec.tridiagonal is None
+        assert np.array_equal(spec.values, expected[0])
+        assert np.array_equal(spec.top(3), expected[1])
+
+    def test_bundled_library_is_found(self):
+        # Where numpy ships an OpenBLAS64, the lookup must accept it: a
+        # binding that fails the self-check would silently skip every
+        # tridiagonal test.
+        if not list(lapack._candidates()):
+            pytest.skip("numpy bundles no OpenBLAS64")
+        assert lapack.library() is not None
+
+    def test_library_without_the_routines_is_refused(self):
+        ctypes_module = pytest.importorskip("_ctypes")
+        if not hasattr(ctypes_module, "__file__"):
+            pytest.skip("_ctypes is built into the interpreter")
+        # A shared library that links no LAPACK, and a file that is none.
+        assert lapack._open(Path(ctypes_module.__file__)) is None
+        assert lapack._open(Path(__file__)) is None
 
 
 @st.composite
@@ -438,9 +512,9 @@ class TestFilteredSpectrum:
             top_spectrum(a, eigengap=eigengap).top(2)
             assert len(calls) == 1
 
-    def test_above_n_min_without_scipy_filters(self, monkeypatch):
+    def test_above_n_min_without_library_filters(self, monkeypatch):
         lap = nested_laplacian("global")
-        block_scipy(monkeypatch)
+        block_library(monkeypatch)
         spec = top_spectrum(lap, eigengap=True)
         assert spec.vectors is None and spec.tridiagonal is None
         with no_eigh():
@@ -448,8 +522,8 @@ class TestFilteredSpectrum:
         p = symmetric_eigen(lap).vectors[:, :2]
         assert np.linalg.norm(x - p @ (p.T @ x)) <= 1e-10
 
-    def test_above_n_min_with_scipy_is_tridiagonal(self):
-        pytest.importorskip("scipy")
+    @needs_library
+    def test_above_n_min_with_library_is_tridiagonal(self):
         spec = top_spectrum(nested_laplacian("global"), eigengap=True)
         assert spec.tridiagonal is not None
 
