@@ -13,6 +13,11 @@ whose bytes differ is printed with its class:
 - ``DIFFERENT``: anything else, including any ``.meta`` (exit code and
   stderr) or input data that differs, and a file found on one side only.
 
+Under each ``DIFFERENT`` report, one line per JSON path that differs (list
+indices written ``[]``) gives the largest relative change of the numbers
+there, e.g. ``sigma_trace[].sigma_sq 3.5e-15``, or ``changed`` where a
+non-numeric value, a key or a list length differs.
+
 Exits 0 when no file is ``DIFFERENT``, 1 otherwise.
 
 Usage: python scripts/corpus_equiv.py A B
@@ -61,6 +66,39 @@ def _curve(path: Path) -> list:
     return [rows[0]] + [(row[0], float(row[1])) for row in rows[1:]]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _changes(a, b, path: str = "", out: dict | None = None) -> dict:
+    """JSON path -> largest relative change of a number there, or None where
+    anything else differs."""
+    out = {} if out is None else out
+
+    def record(change):
+        old = out.get(path, 0.0)
+        out[path] = None if change is None or old is None else max(old, change)
+
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            sub = f"{path}.{key}" if path else key
+            if key in a and key in b:
+                _changes(a[key], b[key], sub, out)
+            else:
+                out[sub] = None
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            record(None)
+        for x, y in zip(a, b):
+            _changes(x, y, path + "[]", out)
+    elif _is_number(a) and _is_number(b):
+        if a != b:
+            record(abs(a - b) / max(abs(a), abs(b)))
+    elif a != b:
+        record(None)
+    return out
+
+
 def classify(a: Path, b: Path) -> str:
     """Class of two files whose bytes differ."""
     if a.suffix == ".json":
@@ -95,6 +133,10 @@ def main(argv: list) -> int:
         cls = classify(a, b)
         different += cls == "DIFFERENT"
         print(f"{cls:<10} {rel}")
+        if cls == "DIFFERENT" and a.suffix == ".json":
+            changes = _changes(json.loads(a.read_text()), json.loads(b.read_text()))
+            for path, change in sorted(changes.items()):
+                print(f"{'':<11}{path} {'changed' if change is None else f'{change:.1e}'}")
     print(f"{len(files_a | files_b)} files, {different} not equivalent")
     return 1 if different else 0
 

@@ -8,8 +8,8 @@ and ``top(k)`` for the eigenvectors of the k largest, each with its
 largest-magnitude entry positive. Two functions build one:
 
 - ``symmetric_eigen`` computes the full decomposition with ``np.linalg.eigh``
-  and keeps every vector. It is the reference, the solver of PCA, and every
-  fast path's fallback.
+  and keeps every vector. It is the reference, the solver of ``pca``, and
+  every fast path's fallback.
 - ``top_spectrum`` serves the spectral chain, which needs every eigenvalue
   (for the eigengap) but only the top k eigenvectors (for the split), and
   none when k = 1. It computes the values and leaves the vectors to
@@ -33,6 +33,12 @@ largest-magnitude entry positive. Two functions build one:
     below ``N_MIN`` or without that library), ``symmetric_eigen``.
 
   ``Spectrum.top`` lists where a fast path gives way to ``symmetric_eigen``.
+
+The global scale σ² needs the covariance eigenvalues and nothing else:
+``covariance_eigenvalues`` takes them with ``eigvalsh`` on the smaller of
+the m x m covariance and the n x n Gram matrix of the centered rows. ``pca``
+(axes, projections and their variances, through ``symmetric_eigen``) stays
+public as the reference for those values; no library code calls it.
 """
 
 from __future__ import annotations
@@ -336,6 +342,29 @@ def covariance(data) -> np.ndarray:
     centered = x - x.mean(axis=0)
     cov = centered.T @ centered / (n - 1)
     return (cov + cov.T) / 2.0
+
+
+def covariance_eigenvalues(data) -> np.ndarray:
+    """Every eigenvalue of the sample covariance (divisor n-1), descending,
+    clipped at 0: m values for n x m data.
+
+    The nonzero eigenvalues of XcᵀXc / (n-1), the m x m covariance of the
+    centered rows Xc, are those of the n x n Gram matrix XcXcᵀ / (n-1) (the
+    method of snapshots: Sirovich 1987; Turk & Pentland 1991). So the
+    smaller of the two is formed and ``eigvalsh`` takes its values alone;
+    for n < m the other m - n eigenvalues are zero. ``pca`` computes the
+    same values as projected variances, with the axes, and is the reference.
+    """
+    x = as_matrix(data)
+    n, m = x.shape
+    if n < 2:
+        raise InsufficientDataError(f"covariance needs at least 2 rows, got {n}")
+    centered = x - x.mean(axis=0)
+    side = centered @ centered.T if n < m else centered.T @ centered
+    values = np.zeros(m)
+    # eigvalsh reads one triangle, so the product needs no symmetrizing.
+    values[: side.shape[0]] = np.linalg.eigvalsh(side / (n - 1))[::-1]
+    return np.maximum(values, 0.0, out=values)
 
 
 def pca(data) -> PcaResult:

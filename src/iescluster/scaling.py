@@ -3,6 +3,12 @@
 Two schemes: a PCA-based global sigma^2 (weighted mean of major principal-axis
 variances, axes chosen to cover a cumulative explained-variance threshold) and
 a per-point local sigma (distance to the k-th nearest neighbor).
+
+The variance along principal axis i is the i-th covariance eigenvalue, and no
+axis or projection enters sigma^2, so the global scheme takes the eigenvalues
+alone from ``linalg.covariance_eigenvalues``, on the smaller of the m x m
+covariance and the n x n Gram matrix. ``linalg.pca`` is the public reference
+it is tested against.
 """
 
 from __future__ import annotations
@@ -13,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    DegenerateDataError,
     DimensionError,
     InsufficientDataError,
     InvalidDataError,
     InvalidParameterError,
 )
-from .linalg import as_matrix, pairwise_distances, pca
+from .linalg import as_matrix, covariance_eigenvalues, pairwise_distances
 
 # Rows of the distance matrix partitioned at a time by estimate_local_sigmas.
 _PARTITION_ROWS = 256
@@ -59,7 +66,8 @@ def estimate_global_sigma(data, variance_threshold: float = 0.95) -> ScalingEsti
 
         sigma_sq = sum_i(w_i * v_i) / sum_i(w_i)   for i = 1..y
 
-    with v the per-axis sample variances and w = v / sum(v).
+    with v the per-axis sample variances, the covariance eigenvalues in
+    descending order, and w = v / sum(v).
     """
     if not 0.0 < variance_threshold <= 1.0:
         raise InvalidParameterError(
@@ -70,12 +78,20 @@ def estimate_global_sigma(data, variance_threshold: float = 0.95) -> ScalingEsti
         raise InsufficientDataError(
             f"global sigma estimation needs at least 2 rows, got {x.shape[0]}"
         )
-    result = pca(x)  # raises DegenerateDataError on zero variance
-    cumulative = np.cumsum(result.weights)
+    if np.all(x == x[0]):
+        # Rounding in the column means would leave constant data a tiny,
+        # scale-dependent variance instead of zero.
+        raise DegenerateDataError("data has zero total variance")
+    variances = covariance_eigenvalues(x)
+    total = float(np.sum(variances))
+    if total <= 0.0:
+        raise DegenerateDataError("data has zero total variance")
+    weights = variances / total
+    cumulative = np.cumsum(weights)
     reached = np.nonzero(cumulative >= variance_threshold - 1e-12)[0]
-    y = int(reached[0]) + 1 if reached.size else len(result.weights)
-    w = result.weights[:y]
-    v = result.variances[:y]
+    y = int(reached[0]) + 1 if reached.size else len(weights)
+    w = weights[:y]
+    v = variances[:y]
     sigma_sq = float(np.sum(w * v) / np.sum(w))
     return ScalingEstimate(
         kind="global",

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -24,13 +25,18 @@ from iescluster.linalg import (
     FILTER_DEGREE_MAX,
     N_MIN,
     covariance,
+    covariance_eigenvalues,
     pairwise_distances,
     pca,
     symmetric_eigen,
     top_spectrum,
 )
 from iescluster.njw import build_affinity
-from iescluster.scaling import estimate_global_sigma, estimate_local_sigmas
+from iescluster.scaling import (
+    estimate_global_sigma,
+    estimate_local_sigmas,
+    manual_global_sigma,
+)
 from iescluster.synth import nested_scale_dataset
 
 from conftest import ideal_block_affinity, separated_blobs
@@ -396,6 +402,18 @@ class TestFilteredSpectrum:
     @settings(max_examples=25, deadline=None)
     @given(blob_laplacians())
     def test_matches_oracle_within_residual_over_gap(self, lap):
+        self.check_filter_against_oracle(lap)
+
+    def test_rounding_floor_of_the_subspace_bound(self):
+        # A drawn 37-point Laplacian whose subspace difference, 1.16e-15,
+        # exceeded the Davis-Kahan bound without its rounding floor,
+        # 1.12e-15. sigma^2 is pinned to the bits the draw had.
+        x, _ = separated_blobs([22, 15], spread=0.05, dims=2, seed=89)
+        sigma = manual_global_sigma(float.fromhex("0x1.35a5c35c9681ep+12"))
+        self.check_filter_against_oracle(normalized_laplacian(build_affinity(x, sigma)))
+
+    @staticmethod
+    def check_filter_against_oracle(lap):
         n = lap.shape[0]
         oracle = symmetric_eigen(lap)
         spec = top_spectrum(lap, eigengap=True)
@@ -415,9 +433,13 @@ class TestFilteredSpectrum:
         assert np.max(residuals) <= tol
         # Davis-Kahan sin(theta): each basis is within its residual over its
         # distance to lambda_k+1 of the true subspace, so within the sum of
-        # the two of each other.
+        # the two of each other. The computed difference also carries the
+        # rounding of p.T @ x, k x k inner products of n terms, about
+        # sqrt(n) * eps each, which p carries over unchanged: a floor of
+        # sqrt(n) * k * eps, which two orthonormal bases of one subspace
+        # stay below by 4x.
         p = oracle.vectors[:, :k]
-        bound = 0.0
+        bound = math.sqrt(n) * k * np.finfo(float).eps
         for v in (x, p):
             theta, residuals = ritz_residuals(lap, v)
             bound += np.linalg.norm(residuals) / (theta.min() - oracle.values[k])
@@ -562,6 +584,23 @@ class TestCovariance:
         values = symmetric_eigen(cov).values
         scale = max(1.0, float(np.max(np.abs(cov))))
         assert values.min() >= -1e-10 * scale
+
+
+class TestCovarianceEigenvalues:
+    @pytest.mark.parametrize("shape", [(2, 50), (12, 50), (50, 50), (80, 6), (5, 1)])
+    def test_match_pca_variances_on_both_sides(self, rng, shape):
+        data = rng.normal(0, 2.0, shape)
+        values = covariance_eigenvalues(data)
+        variances = pca(data).variances
+        assert values.shape == (shape[1],)
+        assert np.all(values >= 0.0) and np.all(np.diff(values) <= 0.0)
+        assert values == pytest.approx(variances, rel=1e-12, abs=1e-12 * variances[0])
+        # n points span at most n - 1 directions.
+        assert np.all(values[shape[0] - 1 :] <= 1e-12 * values[0])
+
+    def test_single_row_rejected(self):
+        with pytest.raises(InsufficientDataError):
+            covariance_eigenvalues([[1.0, 2.0]])
 
 
 class TestPca:

@@ -1,3 +1,6 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +14,8 @@ from iescluster.errors import (
     InvalidDataError,
     InvalidParameterError,
 )
-from iescluster.linalg import covariance, pairwise_distances
+from iescluster import linalg
+from iescluster.linalg import covariance, pairwise_distances, pca
 from iescluster.scaling import (
     estimate_global_sigma,
     estimate_local_sigmas,
@@ -114,10 +118,13 @@ class TestGlobalSigma:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        arrays(
-            np.float64,
-            (8, 3),
-            elements=st.floats(min_value=-20, max_value=20, allow_nan=False),
+        # (8, 40) takes the Gram side of covariance_eigenvalues.
+        st.sampled_from([(8, 3), (8, 40)]).flatmap(
+            lambda shape: arrays(
+                np.float64,
+                shape,
+                elements=st.floats(min_value=-20, max_value=20, allow_nan=False),
+            )
         ),
         st.floats(min_value=0.5, max_value=100),
     )
@@ -128,6 +135,52 @@ class TestGlobalSigma:
             return
         scaled = estimate_global_sigma(data * factor)
         assert scaled.sigma_sq == pytest.approx(base.sigma_sq * factor**2, rel=1e-6)
+
+
+def projection_sigma_oracle(data, threshold=0.95):
+    """The estimator as it stood on PCA: the sample variances of the data
+    projected on the covariance eigenvectors, then the same threshold rule
+    and weighted mean."""
+    res = pca(data)
+    cumulative = np.cumsum(res.weights)
+    reached = np.nonzero(cumulative >= threshold - 1e-12)[0]
+    y = int(reached[0]) + 1 if reached.size else len(res.weights)
+    w, v = res.weights[:y], res.variances[:y]
+    return float(np.sum(w * v) / np.sum(w)), y
+
+
+def no_full_eigensolve():
+    """Make any full eigendecomposition fail the test."""
+    stack = contextlib.ExitStack()
+    for owner, name in ((linalg, "symmetric_eigen"), (np.linalg, "eigh")):
+        stack.enter_context(
+            mock.patch.object(owner, name, side_effect=AssertionError(f"{name} called"))
+        )
+    return stack
+
+
+class TestGlobalSigmaAgainstProjection:
+    """The eigenvalue-only estimator against the projected variances of
+    ``pca``, on both sides of covariance_eigenvalues' n < m rule."""
+
+    @pytest.mark.parametrize(
+        "shape", [(2, 200), (3, 200), (40, 200), (60, 60), (150, 20), (30, 1)]
+    )
+    def test_matches_projection(self, rng, shape):
+        self.check(rng.normal(0, rng.uniform(0.1, 10), shape))
+
+    @pytest.mark.parametrize("distinct, copies, m", [(6, 5, 200), (10, 4, 5)])
+    def test_duplicated_rows(self, rng, distinct, copies, m):
+        self.check(np.repeat(rng.normal(0, 3, (distinct, m)), copies, axis=0))
+
+    @staticmethod
+    def check(data):
+        for threshold in (0.5, 0.95, 1.0):
+            sigma, y = projection_sigma_oracle(data, threshold)
+            with no_full_eigensolve():
+                est = estimate_global_sigma(data, variance_threshold=threshold)
+            assert est.components_used == y
+            assert est.sigma_sq == pytest.approx(sigma, rel=1e-10)
 
 
 def local_sigma_oracle(dist, k):
