@@ -29,7 +29,7 @@ from .ies import (
     njw_outcome,
 )
 from .kmeans import KMeansResult, kmeans, sse
-from .linalg import PcaResult, Spectrum, covariance, pairwise_distances, pca, symmetric_eigen
+from .linalg import Spectrum, pairwise_distances, symmetric_eigen
 from .njw import njw_cluster, spectral_embed
 from .scaling import ScalingEstimate, estimate_global_sigma, estimate_local_sigmas, manual_global_sigma
 from .synth import (

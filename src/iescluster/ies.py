@@ -161,7 +161,7 @@ def _split_spectrum(
     Member arrays inside the returned step index into the node's points;
     the caller translates them back to root indices.
     """
-    eig = top_spectrum(lap, eigengap=k_override is None)
+    eig = top_spectrum(lap)
     if k_override is None:
         k = eigengap_k(eig.values, config.search_fraction).k
     else:

@@ -1,6 +1,6 @@
 """LAPACK's tridiagonal eigensolver routines, from numpy's own OpenBLAS.
 
-``linalg.top_spectrum`` reduces a large symmetric matrix once to tridiagonal
+``linalg.top_spectrum`` reduces a symmetric matrix once to tridiagonal
 form, takes every eigenvalue from it, and computes only the eigenvectors a
 node uses. numpy's API has no such solver, but its PyPI wheels bundle an
 OpenBLAS built with 64-bit integers (ILP64) whose LAPACK does: ``dsytrd``
@@ -14,8 +14,8 @@ inside numpy's own package directories whose four routines carry the ILP64
 ``_64_`` suffix (``scipy_dsytrd_64_`` in numpy 2 wheels, ``dsytrd_64_`` in
 older ones), and only after a small solve agrees with
 ``np.linalg.eigvalsh``. Otherwise (numpy built on MKL, Accelerate or a
-distribution's BLAS, or a 32-bit-integer build) it returns None, and the
-callers take their numpy-only paths.
+distribution's BLAS, or a 32-bit-integer build) it returns None, and
+``top_spectrum`` takes ``np.linalg.eigh``.
 """
 
 from __future__ import annotations

@@ -7,8 +7,8 @@ a per-point local sigma (distance to the k-th nearest neighbor).
 The variance along principal axis i is the i-th covariance eigenvalue, and no
 axis or projection enters sigma^2, so the global scheme takes the eigenvalues
 alone from ``linalg.covariance_eigenvalues``, on the smaller of the m x m
-covariance and the n x n Gram matrix. ``linalg.pca`` is the public reference
-it is tested against.
+covariance and the n x n Gram matrix. The tests check it against the
+projected variances of a full PCA.
 """
 
 from __future__ import annotations

@@ -1,9 +1,18 @@
 """Shared builders for the test suite."""
 
+from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
 import pytest
+
+from iescluster import lapack
+from iescluster.errors import DegenerateDataError, InsufficientDataError
+from iescluster.linalg import as_matrix, symmetric_eigen
+
+needs_library = pytest.mark.skipif(
+    lapack.library() is None, reason="numpy bundles no ILP64 OpenBLAS"
+)
 
 
 def ideal_block_affinity(sizes):
@@ -58,3 +67,56 @@ def partition_of(assignments):
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def covariance(data) -> np.ndarray:
+    """Sample covariance (divisor n-1) of mean-centered columns."""
+    x = as_matrix(data)
+    n = x.shape[0]
+    if n < 2:
+        raise InsufficientDataError(f"covariance needs at least 2 rows, got {n}")
+    centered = x - x.mean(axis=0)
+    cov = centered.T @ centered / (n - 1)
+    return (cov + cov.T) / 2.0
+
+
+@dataclass(frozen=True)
+class PcaResult:
+    """Principal axes and projections of a mean-centered data matrix.
+
+    axes:       columns are covariance eigenvectors, descending eigenvalue.
+    projected:  centered data times axes.
+    variances:  sample variance of each projected column.
+    weights:    variances normalized to sum to one.
+    """
+
+    axes: np.ndarray
+    projected: np.ndarray
+    variances: np.ndarray
+    weights: np.ndarray
+
+
+def pca(data) -> PcaResult:
+    """Project data onto covariance eigenvectors sorted by descending
+    eigenvalue: the reference for ``linalg.covariance_eigenvalues``.
+
+    Columns are mean-centered before the covariance and the projection, so the
+    projected columns are uncorrelated and their sample variances sum to the
+    covariance trace. Raises DegenerateDataError when total variance is zero.
+    """
+    x = as_matrix(data)
+    n = x.shape[0]
+    if n < 2:
+        raise InsufficientDataError(f"pca needs at least 2 rows, got {n}")
+    if np.all(x == x[0]):
+        # Rounding in the column means would leave constant data a tiny,
+        # scale-dependent variance instead of zero.
+        raise DegenerateDataError("data has zero total variance")
+    axes = symmetric_eigen(covariance(x)).vectors
+    projected = (x - x.mean(axis=0)) @ axes
+    # Projected columns already have zero mean; variance straight from squares.
+    variances = np.sum(projected**2, axis=0) / (n - 1)
+    total = float(np.sum(variances))
+    if total <= 0.0:
+        raise DegenerateDataError("data has zero total variance")
+    return PcaResult(axes=axes, projected=projected, variances=variances, weights=variances / total)

@@ -265,6 +265,26 @@ class TestCommandLine:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: local sigmas are not finite")
 
+    @pytest.mark.parametrize("factor", [1e160, 2.0**530])
+    @pytest.mark.parametrize("mode", ["ies-global", "legacy-eigengap"])
+    def test_overflowing_covariance_is_data_error(self, tmp_path, capsys, mode, factor):
+        # The covariance of two 3-d groups overflows to inf: one error line
+        # and exit 3, not a traceback from the eigensolver.
+        rng = np.random.default_rng(0)
+        features = np.vstack([rng.normal(0, 1, (40, 3)), rng.normal(9, 1, (40, 3))])
+        path = tmp_path / "huge.csv"
+        save_dataset(Dataset(features=features * factor), path)
+        out = tmp_path / "x.json"
+        code = main([
+            "run", "--mode", mode, "--input", str(path), "--has-header",
+            "--output", str(out),
+        ])
+        assert code == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: matrix contains NaN or Inf entries"
+        ]
+
     def test_bad_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3,oops\n")

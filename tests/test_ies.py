@@ -1,14 +1,17 @@
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import partition_of, separated_blobs
+from conftest import needs_library, partition_of, separated_blobs
 import iescluster.ies as ies_module
-from iescluster import linalg
+import iescluster.njw as njw_module
+from iescluster import lapack, linalg
+from iescluster.eigengap import eigengap_k
 from iescluster.errors import InsufficientDataError, InvalidDataError, InvalidParameterError
 from iescluster.ies import (
     IesConfig,
@@ -21,7 +24,7 @@ from iescluster.ies import (
 from iescluster.njw import njw_cluster
 from iescluster.scaling import estimate_global_sigma, manual_global_sigma
 from iescluster.synth import nested_scale_dataset
-from iescluster.validation import evaluate
+from iescluster.validation import elbow_sweep, evaluate
 
 
 def assert_valid_tree(outcome, n):
@@ -337,9 +340,10 @@ class TestDistanceMatrixPerNode:
 
 
 class TestOverflowingDistances:
-    """Distances that overflow to inf are a fault of the data: the local
-    modes report them as InvalidDataError, as the Laplacian did before the
-    scale estimate checked its sigmas."""
+    """Distances or a covariance that overflow to inf are a fault of the
+    data: the local modes report them as InvalidDataError, as the Laplacian
+    did before the scale estimate checked its sigmas, and the global modes
+    as the covariance eigenvalues check their matrix."""
 
     def test_local_modes_raise_data_error(self):
         data, _ = separated_blobs((20, 20), seed=1)
@@ -348,11 +352,20 @@ class TestOverflowingDistances:
         with pytest.raises(InvalidDataError):
             els_cluster(data * 1e160, master_seed=0)
 
+    @pytest.mark.parametrize("factor", [1e160, 2.0**530])
+    def test_global_modes_raise_data_error(self, factor):
+        # The covariance of the global scale estimate overflows to inf.
+        data, _ = separated_blobs((40, 40), seed=1)
+        with pytest.raises(InvalidDataError):
+            ies_cluster(data * factor, "global", master_seed=0)
+        with pytest.raises(InvalidDataError):
+            legacy_eigengap_cluster(data * factor, master_seed=0)
+
 
 class TestSpectrumPath:
-    """Nodes below N_MIN that pick k at the eigengap take every eigenvalue
-    from eigvalsh and the top k vectors from a Chebyshev filter; a caller
-    with a fixed k keeps the full eigh."""
+    """Where numpy bundles an ILP64 OpenBLAS, every spectral caller takes
+    the tridiagonal path at every node size and eigh only at a tie; without
+    it, every caller gets eigh's bits."""
 
     @pytest.fixture
     def eigh_shapes(self, monkeypatch):
@@ -366,6 +379,7 @@ class TestSpectrumPath:
         monkeypatch.setattr(linalg, "symmetric_eigen", recorded)
         return shapes
 
+    @needs_library
     def test_ies_local_tree_without_full_eigh(self, eigh_shapes):
         # Close enough that no top eigenvalue of the root is tied with
         # another (a tie there takes eigh), far enough to split cleanly.
@@ -375,8 +389,85 @@ class TestSpectrumPath:
         assert partition_of(out.leaf_assignments) == partition_of(labels)
         assert eigh_shapes == []
 
-    def test_njw_keeps_full_eigh(self, eigh_shapes):
-        data, labels = separated_blobs([200] * 4, separation=10.0, spread=1.0, dims=4, seed=0)
+    @needs_library
+    def test_fixed_k_callers_without_full_eigh(self, eigh_shapes):
+        data, labels = separated_blobs([60] * 4, separation=10.0, spread=1.0, dims=4, seed=0)
         out = njw_outcome(data, 4, master_seed=0)
         assert partition_of(out.leaf_assignments) == partition_of(labels)
-        assert (800, 800) in eigh_shapes
+        curve = elbow_sweep(data, (1, 6), estimate_global_sigma(data), seed=0)
+        assert [k for k, _ in curve] == list(range(1, 7))
+        out = ies_cluster(data, "global", master_seed=0)
+        assert partition_of(out.leaf_assignments) == partition_of(labels)
+        assert eigh_shapes == []
+
+    def test_without_library_every_caller_gets_eigh_bits(self, monkeypatch):
+        data, _ = separated_blobs([60] * 3, separation=10.0, spread=1.0, dims=3, seed=1)
+        monkeypatch.setattr(lapack, "library", lambda: None)
+        blocked = spectral_results(data)
+        for module in (ies_module, njw_module):
+            monkeypatch.setattr(module, "top_spectrum", linalg.symmetric_eigen)
+        assert spectral_results(data) == blocked
+
+
+def spectral_results(data):
+    """Every spectral caller's result on ``data``, as comparable values: the
+    trees' nodes and the elbow SSEs."""
+    trees = [
+        ies_cluster(data, "global", master_seed=0),
+        ies_cluster(data, "local", master_seed=0),
+        els_cluster(data, master_seed=0),
+        legacy_eigengap_cluster(data, master_seed=0),
+        njw_outcome(data, 3, master_seed=0),
+    ]
+    nodes = [
+        [(n.id, n.estimated_k, n.leaf_reason, n.children, n.member_indices.tolist())
+         for n in tree.nodes]
+        for tree in trees
+    ]
+    curve = elbow_sweep(data, (1, 6), estimate_global_sigma(data), seed=0)
+    return nodes, curve
+
+
+@st.composite
+def nested_layouts(draw):
+    """``nested_scale_dataset`` layouts of 21-300 points: one group far from
+    a pair of close subgroups."""
+    return nested_scale_dataset(
+        n_per_group=draw(st.integers(7, 100)),
+        dims=draw(st.integers(2, 20)),
+        fine_separation=draw(st.sampled_from([0.3, 1.0, 3.0])),
+        spread=draw(st.sampled_from([0.05, 0.1, 0.3])),
+        seed=draw(st.integers(0, 2**16)),
+    ).features
+
+
+class TestTreeOracle:
+    """Whole trees on the shipped spectrum path against trees with every
+    node's spectrum from eigh."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(nested_layouts(), st.sampled_from(["global", "local"]))
+    def test_partition_matches_eigh_tree(self, data, mode):
+        shipped = ies_cluster(data, mode, master_seed=0)
+        spectra = []
+
+        def oracle(m):
+            spec = linalg.symmetric_eigen(m)
+            spectra.append(spec.values)
+            return spec
+
+        with mock.patch.object(ies_module, "top_spectrum", oracle):
+            reference = ies_cluster(data, mode, master_seed=0)
+        same = partition_of(shipped.leaf_assignments) == partition_of(reference.leaf_assignments)
+        # Otherwise some node's top eigenspace must be tied inside the cuts
+        # it uses, where the matrix does not determine its basis, on which
+        # the node's k-means and its children's numbering and seeds depend.
+        assert same or any(tied_inside_top_k(values) for values in spectra)
+
+
+def tied_inside_top_k(values):
+    """Whether a cut in [1, k), k the eigengap's, falls between two
+    eigenvalues within n * eps * max|lambda| of each other."""
+    k = eigengap_k(values, IesConfig().search_fraction).k
+    tol = values.size * np.finfo(float).eps * np.max(np.abs(values))
+    return bool(np.any(values[: k - 1] - values[1:k] <= tol))

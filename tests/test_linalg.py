@@ -22,12 +22,8 @@ from iescluster import lapack, linalg
 from iescluster.affinity import normalized_laplacian
 from iescluster.eigengap import eigengap_k
 from iescluster.linalg import (
-    FILTER_DEGREE_MAX,
-    N_MIN,
-    covariance,
     covariance_eigenvalues,
     pairwise_distances,
-    pca,
     symmetric_eigen,
     top_spectrum,
 )
@@ -39,7 +35,7 @@ from iescluster.scaling import (
 )
 from iescluster.synth import nested_scale_dataset
 
-from conftest import ideal_block_affinity, separated_blobs
+from conftest import covariance, ideal_block_affinity, needs_library, pca, separated_blobs
 
 INV_SQRT2 = 0.7071067811865476  # 1/sqrt(2), hand value
 
@@ -144,8 +140,9 @@ class TestSymmetricEigen:
 
 
 def nested_laplacian(kind):
-    """Normalized Laplacian of a three-group nested layout above N_MIN."""
-    x = nested_scale_dataset(n_per_group=N_MIN // 3 + 20, seed=3).features
+    """Normalized Laplacian of a three-group nested layout of 1059 points,
+    large enough that dsytrd runs blocked and dormtr applies Q in blocks."""
+    x = nested_scale_dataset(n_per_group=353, seed=3).features
     if kind == "global":
         scaling = estimate_global_sigma(x)
     else:
@@ -168,9 +165,38 @@ def fail_routine(monkeypatch, name):
     monkeypatch.setattr(lib, "_call", call)
 
 
-needs_library = pytest.mark.skipif(
-    lapack.library() is None, reason="numpy bundles no ILP64 OpenBLAS"
-)
+@st.composite
+def blob_laplacians(draw):
+    """Global-scale normalized Laplacian of 2-6 separated Gaussian groups of
+    15-100 points each."""
+    groups = draw(st.integers(min_value=2, max_value=6))
+    sizes = draw(st.lists(st.integers(15, 100), min_size=groups, max_size=groups))
+    spread = draw(st.sampled_from([0.05, 1.0, 5.0, 15.0]))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    x, _ = separated_blobs(sizes, spread=spread, dims=groups, seed=seed)
+    return normalized_laplacian(build_affinity(x, estimate_global_sigma(x)))
+
+
+def with_spectrum(values, seed=0):
+    """A symmetric matrix with the given eigenvalues in a random basis."""
+    values = np.asarray(values, dtype=float)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((values.size,) * 2))
+    a = (q * values) @ q.T
+    return (a + a.T) / 2
+
+
+def ritz_residuals(a, x):
+    """Each column's Rayleigh quotient and residual norm |A x - theta x|."""
+    ax = a @ x
+    theta = np.sum(x * ax, axis=0)
+    return theta, np.linalg.norm(ax - x * theta, axis=0)
+
+
+def no_eigh():
+    """Make any full eigendecomposition fail the test."""
+    return mock.patch.object(
+        linalg, "symmetric_eigen", side_effect=AssertionError("eigh fallback taken")
+    )
 
 
 class TestTopSpectrum:
@@ -191,9 +217,19 @@ class TestTopSpectrum:
         # lambda_2..lambda_12 agree to 1e-6 and lie within 1e-4 of 1, while
         # the cut at 12 is wide: the near-tie inside the cut takes the
         # tridiagonal path, and only the subspace is compared.
-        x, _ = separated_blobs([N_MIN // 12 + 5] * 12, dims=12)
+        x, _ = separated_blobs([88] * 12, dims=12)
         lap = normalized_laplacian(build_affinity(x, estimate_global_sigma(x)))
         self.check_against_oracle(lap, 12)
+
+    @needs_library
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_small_inputs_match_full_oracle(self, n):
+        # Every size takes the tridiagonal path, up to k = n, where no
+        # lambda_k+1 bounds the cut.
+        a = with_spectrum(np.linspace(1.0, -1.0, n) ** 3, seed=n)
+        for k in range(1, n + 1):
+            with no_eigh():
+                self.check_against_oracle(a, k)
 
     @staticmethod
     def check_against_oracle(lap, k):
@@ -223,201 +259,28 @@ class TestTopSpectrum:
             self.check_against_oracle(lap, k)
 
     @needs_library
-    def test_degenerate_cut_returns_oracle_bits(self):
-        # Two disconnected groups: lambda_1 = lambda_2 = 1, so the top-1
-        # subspace is not determined by the matrix.
-        lap = normalized_laplacian(ideal_block_affinity([N_MIN // 2 + 10, N_MIN // 2 + 20]))
-        oracle = symmetric_eigen(lap)
-        spec = top_spectrum(lap)
-        assert spec.tridiagonal is not None
-        assert np.array_equal(spec.top(1), oracle.vectors[:, :1])
-        # A sweep whose cuts include 1 falls back as a whole; cut 2 alone is
-        # well separated and takes the tridiagonal path.
-        assert np.array_equal(spec.top(2, k_min=1), oracle.vectors[:, :2])
-        x, p = spec.top(2), oracle.vectors[:, :2]
-        assert not np.array_equal(x, p)
-        assert np.linalg.norm(x - p @ (p.T @ x)) <= 1e-10
-
-    @needs_library
-    def test_repeatable(self):
-        lap = nested_laplacian("global")
-        a, b = top_spectrum(lap), top_spectrum(lap.copy())
-        assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.top(3), b.top(3))
-
-    @needs_library
-    def test_failed_inverse_iteration_returns_oracle_bits(self, monkeypatch):
-        lap = nested_laplacian("global")
-        spec = top_spectrum(lap)
-        fail_routine(monkeypatch, "dstein")
-        assert np.array_equal(spec.top(2), symmetric_eigen(lap).vectors[:, :2])
-
-    @needs_library
-    def test_failed_eigenvalues_return_oracle_bits(self, monkeypatch):
-        lap = nested_laplacian("global")
-        fail_routine(monkeypatch, "dsterf")
-        spec = top_spectrum(lap, eigengap=True)
-        oracle = symmetric_eigen(lap)
-        assert spec.tridiagonal is None and spec.matrix is None
-        assert np.array_equal(spec.values, oracle.values)
-        assert np.array_equal(spec.top(2), oracle.top(2))
-
-    def test_without_library_is_the_oracle(self, monkeypatch):
-        lap = nested_laplacian("global")
-        block_library(monkeypatch)
-        spec = top_spectrum(lap)
-        oracle = symmetric_eigen(lap)
-        assert spec.vectors is not None
-        assert np.array_equal(spec.values, oracle.values)
-        assert np.array_equal(spec.top(3), oracle.vectors[:, :3])
-
-    def test_small_input_is_the_oracle(self):
-        lap = normalized_laplacian(ideal_block_affinity([10, 12]))
-        spec = top_spectrum(lap)
-        oracle = symmetric_eigen(lap)
-        assert np.array_equal(spec.values, oracle.values)
-        assert np.array_equal(spec.top(2), oracle.vectors[:, :2])
-
-    def test_eigh_spectrum_keeps_no_matrix(self):
-        # Stored vectors answer every top(k); holding the input as well
-        # would keep one more n x n array alive per spectrum.
-        lap = normalized_laplacian(ideal_block_affinity([10, 12]))
-        for spec in (symmetric_eigen(lap), top_spectrum(lap)):
-            assert spec.vectors is not None and spec.matrix is None
-
-    @pytest.mark.parametrize("n", [5, N_MIN])
-    def test_k_out_of_range(self, n):
-        spec = top_spectrum(np.eye(n) + 1.0)
-        for k in (0, n + 1):
-            with pytest.raises(InvalidParameterError):
-                spec.top(k)
-
-    def test_input_validation_matches_oracle(self):
-        a = np.ones((N_MIN, N_MIN))
-        a[0, 1] = 2.0
-        with pytest.raises(InvalidDataError):
-            top_spectrum(a)
-        with pytest.raises(DimensionError):
-            top_spectrum(np.zeros((N_MIN, N_MIN + 1)))
-
-    @staticmethod
-    def run_isolated(code):
-        src = str(Path(__import__("iescluster").__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        return subprocess.run([sys.executable, "-c", code], env=env).returncode
-
-    def test_import_leaves_scipy_unloaded(self):
-        code = "import sys, iescluster; sys.exit('scipy' in sys.modules)"
-        assert self.run_isolated(code) == 0
-
-    @needs_library
-    def test_tridiagonal_solve_leaves_scipy_unloaded(self):
-        code = (
-            "import sys, numpy as np\n"
-            "from iescluster.linalg import N_MIN, top_spectrum\n"
-            "x = np.random.default_rng(0).standard_normal((N_MIN, N_MIN))\n"
-            "spec = top_spectrum(x + x.T)\n"
-            "assert spec.tridiagonal is not None and spec.top(3).shape == (N_MIN, 3)\n"
-            "sys.exit('scipy' in sys.modules)\n"
-        )
-        assert self.run_isolated(code) == 0
-
-    @pytest.mark.parametrize("eigengap", [False, True])
-    def test_failed_self_check_is_the_numpy_path(self, monkeypatch, request, eigengap):
-        lap = nested_laplacian("global")
-        with monkeypatch.context() as blocked:
-            block_library(blocked)
-            numpy_only = top_spectrum(lap, eigengap=eigengap)
-            expected = numpy_only.values, numpy_only.top(3)
-        request.addfinalizer(lapack.library.cache_clear)
-        monkeypatch.setattr(lapack, "_self_check", lambda lib: False)
-        lapack.library.cache_clear()
-        assert lapack.library() is None
-        spec = top_spectrum(lap, eigengap=eigengap)
-        assert spec.tridiagonal is None
-        assert np.array_equal(spec.values, expected[0])
-        assert np.array_equal(spec.top(3), expected[1])
-
-    def test_bundled_library_is_found(self):
-        # Where numpy ships an OpenBLAS64, the lookup must accept it: a
-        # binding that fails the self-check would silently skip every
-        # tridiagonal test.
-        if not list(lapack._candidates()):
-            pytest.skip("numpy bundles no OpenBLAS64")
-        assert lapack.library() is not None
-
-    def test_library_without_the_routines_is_refused(self):
-        ctypes_module = pytest.importorskip("_ctypes")
-        if not hasattr(ctypes_module, "__file__"):
-            pytest.skip("_ctypes is built into the interpreter")
-        # A shared library that links no LAPACK, and a file that is none.
-        assert lapack._open(Path(ctypes_module.__file__)) is None
-        assert lapack._open(Path(__file__)) is None
-
-
-@st.composite
-def blob_laplacians(draw):
-    """Global-scale normalized Laplacian of 2-6 separated Gaussian groups of
-    15-100 points each, below N_MIN."""
-    groups = draw(st.integers(min_value=2, max_value=6))
-    sizes = draw(st.lists(st.integers(15, 100), min_size=groups, max_size=groups))
-    spread = draw(st.sampled_from([0.05, 1.0, 5.0, 15.0]))
-    seed = draw(st.integers(min_value=0, max_value=2**16))
-    x, _ = separated_blobs(sizes, spread=spread, dims=groups, seed=seed)
-    return normalized_laplacian(build_affinity(x, estimate_global_sigma(x)))
-
-
-def with_spectrum(values, seed=0):
-    """A symmetric matrix with the given eigenvalues in a random basis."""
-    values = np.asarray(values, dtype=float)
-    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((values.size,) * 2))
-    a = (q * values) @ q.T
-    return (a + a.T) / 2
-
-
-def bulk_below(top, n, lo, hi):
-    """``top`` followed by n - len(top) values spread evenly over [lo, hi]."""
-    return np.concatenate([top, np.linspace(hi, lo, n - len(top))])
-
-
-def ritz_residuals(a, x):
-    """Each column's Rayleigh quotient and residual norm |A x - theta x|."""
-    ax = a @ x
-    theta = np.sum(x * ax, axis=0)
-    return theta, np.linalg.norm(ax - x * theta, axis=0)
-
-
-def no_eigh():
-    """Make any full eigendecomposition fail the test."""
-    return mock.patch.object(
-        linalg, "symmetric_eigen", side_effect=AssertionError("eigh fallback taken")
-    )
-
-
-class TestFilteredSpectrum:
-    """The eigengap callers' path below N_MIN: eigvalsh for the values, a
-    Chebyshev filter plus Rayleigh-Ritz for the top k vectors, eigh (the
-    oracle) wherever the filter would not be sure."""
-
     @settings(max_examples=25, deadline=None)
     @given(blob_laplacians())
-    def test_matches_oracle_within_residual_over_gap(self, lap):
-        self.check_filter_against_oracle(lap)
+    def test_eigengap_cut_matches_oracle_within_residual_over_gap(self, lap):
+        self.check_eigengap_cut(lap)
 
+    @needs_library
     def test_rounding_floor_of_the_subspace_bound(self):
         # A drawn 37-point Laplacian whose subspace difference, 1.16e-15,
         # exceeded the Davis-Kahan bound without its rounding floor,
         # 1.12e-15. sigma^2 is pinned to the bits the draw had.
         x, _ = separated_blobs([22, 15], spread=0.05, dims=2, seed=89)
         sigma = manual_global_sigma(float.fromhex("0x1.35a5c35c9681ep+12"))
-        self.check_filter_against_oracle(normalized_laplacian(build_affinity(x, sigma)))
+        self.check_eigengap_cut(normalized_laplacian(build_affinity(x, sigma)))
 
     @staticmethod
-    def check_filter_against_oracle(lap):
+    def check_eigengap_cut(lap):
+        """The top k vectors at the eigengap's k of a node-sized Laplacian,
+        with no eigh fallback, against the oracle's subspace."""
         n = lap.shape[0]
         oracle = symmetric_eigen(lap)
-        spec = top_spectrum(lap, eigengap=True)
-        assert spec.vectors is None and spec.tridiagonal is None
+        spec = top_spectrum(lap)
+        assert spec.tridiagonal is not None
         assert np.max(np.abs(spec.values - oracle.values)) <= 1e-12
         k = eigengap_k(spec.values).k
         assert k > 1
@@ -426,7 +289,7 @@ class TestFilteredSpectrum:
         assert x.shape == (n, k)
         assert np.max(np.abs(x.T @ x - np.eye(k))) <= 1e-12
         # Every column is an eigenvector of its eigenvalue, in order, to the
-        # filter's own acceptance tolerance.
+        # tie rule's tolerance.
         tol = n * np.finfo(float).eps * np.max(np.abs(spec.values))
         theta, residuals = ritz_residuals(lap, x)
         assert np.max(np.abs(theta - spec.values[:k])) <= tol
@@ -447,113 +310,161 @@ class TestFilteredSpectrum:
         tops = x[np.argmax(np.abs(x), axis=0), np.arange(k)]
         assert np.all(tops > 0)
 
-    @settings(max_examples=10, deadline=None)
-    @given(blob_laplacians())
-    def test_repeatable(self, lap):
-        a, b = top_spectrum(lap, eigengap=True), top_spectrum(lap.copy(), eigengap=True)
-        k = eigengap_k(a.values).k
+    @needs_library
+    def test_degenerate_cut_returns_oracle_bits(self):
+        # Two disconnected groups: lambda_1 = lambda_2 = 1, so the top-1
+        # subspace is not determined by the matrix.
+        lap = normalized_laplacian(ideal_block_affinity([510, 520]))
+        oracle = symmetric_eigen(lap)
+        spec = top_spectrum(lap)
+        assert spec.tridiagonal is not None
+        assert np.array_equal(spec.top(1), oracle.vectors[:, :1])
+        # A sweep whose cuts include 1 falls back as a whole; cut 2 alone is
+        # well separated and takes the tridiagonal path.
+        assert np.array_equal(spec.top(2, k_min=1), oracle.vectors[:, :2])
+        x, p = spec.top(2), oracle.vectors[:, :2]
+        assert not np.array_equal(x, p)
+        assert np.linalg.norm(x - p @ (p.T @ x)) <= 1e-10
+
+    @needs_library
+    def test_near_tie_cut_returns_oracle_bits(self):
+        # lambda_2 - lambda_3 = 1e-15, far below n * eps.
+        values = np.concatenate([[1.0, 0.5 + 1e-15, 0.5], np.linspace(0.2, -0.2, 197)])
+        a = with_spectrum(values)
+        spec = top_spectrum(a)
+        assert spec.tridiagonal is not None
+        assert np.array_equal(spec.top(2), symmetric_eigen(a).top(2))
+
+    @needs_library
+    def test_repeatable(self):
+        lap = nested_laplacian("global")
+        a, b = top_spectrum(lap), top_spectrum(lap.copy())
         assert np.array_equal(a.values, b.values)
-        assert np.array_equal(a.top(k), b.top(k))
+        assert np.array_equal(a.top(3), b.top(3))
 
-    @pytest.mark.parametrize(
-        "case",
-        ["near-tie cut", "tie at the cut", "degenerate top", "degree cap", "cost cap",
-         "residual twice", "k = n"],
-    )
-    def test_refusals_return_oracle_bits(self, case):
-        a, k, k_min = self.refusal(case)
-        spec = top_spectrum(a, eigengap=True)
-        assert spec.vectors is None and spec.tridiagonal is None
-        assert np.array_equal(spec.top(k, k_min), symmetric_eigen(a).top(k))
+    @needs_library
+    def test_failed_inverse_iteration_returns_oracle_bits(self, monkeypatch):
+        lap = nested_laplacian("global")
+        spec = top_spectrum(lap)
+        fail_routine(monkeypatch, "dstein")
+        assert np.array_equal(spec.top(2), symmetric_eigen(lap).vectors[:, :2])
 
-    @staticmethod
-    def refusal(case):
-        """(matrix, k, k_min) whose top(k) the filter must leave to eigh."""
-        if case == "near-tie cut":
-            # lambda_2 - lambda_3 = 1e-15, far below n * eps.
-            return with_spectrum(bulk_below([1.0, 0.5 + 1e-15, 0.5], 200, -0.2, 0.2)), 2, None
-        if case == "tie at the cut":
-            # Disconnected: lambda_1 = lambda_2 = 1, so the top-1 subspace
-            # is not determined.
-            return normalized_laplacian(ideal_block_affinity([70, 90])), 1, None
-        if case == "degenerate top":
-            # lambda_1 = lambda_2 = lambda_3 = 1 up to rounding, with a wide
-            # cut at 3: the subspace is determined, but not its basis, and
-            # the filter's basis would be another rotation than eigh's.
-            return normalized_laplacian(ideal_block_affinity([40, 50, 60])), 3, None
-        if case == "degree cap":
-            # A clear gap, but narrow against the bulk's width: degree 182.
-            return with_spectrum(bulk_below([1.0, 0.995], 200, -0.975, 0.975)), 2, None
-        if case == "cost cap":
-            # Degree 13 at k = 25, n = 60: 2 * 13 * 25 * n^2 flops > 9 n^3.
-            top = np.linspace(1.0, 0.9, 25)
-            return with_spectrum(bulk_below(top, 60, -0.1, 0.1)), 25, None
-        if case == "residual twice":
-            # lambda_1 is amplified about 1e19 times more than lambda_2 at the
-            # degree this gap needs (34), which swamps lambda_2's direction:
-            # the first round's residual is about 0.08, the second's 1e-12,
-            # both above n * eps.
-            return with_spectrum(bulk_below([1.0, 0.3], 200, -0.1, 0.2)), 2, None
-        # k = n: there is no lambda_k+1 to filter against.
-        return with_spectrum(np.linspace(1.0, -1.0, 7)), 7, None
+    @needs_library
+    def test_failed_eigenvalues_return_oracle_bits(self, monkeypatch):
+        lap = nested_laplacian("global")
+        fail_routine(monkeypatch, "dsterf")
+        spec = top_spectrum(lap)
+        oracle = symmetric_eigen(lap)
+        assert spec.tridiagonal is None and spec.matrix is None
+        assert np.array_equal(spec.values, oracle.values)
+        assert np.array_equal(spec.top(2), oracle.top(2))
 
-    def test_degree_cap_is_the_reason(self):
-        # The degree-cap case is no tie (gap 0.02, bulk 1.95 wide), and the
-        # filter converges on it when uncapped.
-        a, k, _ = self.refusal("degree cap")
-        values = top_spectrum(a, eigengap=True).values
-        assert values[k - 1] - values[k] > 0.01
-        with mock.patch.object(linalg, "FILTER_DEGREE_MAX", 200), no_eigh():
-            x = top_spectrum(a, eigengap=True).top(k)
-        p = symmetric_eigen(a).vectors[:, :k]
-        assert np.linalg.norm(x - p @ (p.T @ x)) <= 1e-12
-        assert FILTER_DEGREE_MAX < 182
+    def test_without_library_is_the_oracle(self, monkeypatch):
+        lap = nested_laplacian("global")
+        block_library(monkeypatch)
+        spec = top_spectrum(lap)
+        oracle = symmetric_eigen(lap)
+        assert spec.vectors is not None
+        assert np.array_equal(spec.values, oracle.values)
+        assert np.array_equal(spec.top(3), oracle.vectors[:, :3])
 
-    def test_point_bulk_needs_degree_one(self):
-        # Every eigenvalue below the top 2 is exactly 0.1, so the damped
-        # interval is a point, of width 0, and one step of
-        # (A - lambda_n) / (lambda_2 - lambda_n) removes it.
-        a = np.diag(bulk_below([1.0, 0.5], 100, 0.1, 0.1))
-        spec = top_spectrum(a, eigengap=True)
-        with no_eigh(), mock.patch.object(linalg, "_chebyshev", wraps=linalg._chebyshev) as filt:
-            x = spec.top(2)
-        assert filt.call_args.args[2] == 1
-        p = symmetric_eigen(a).vectors[:, :2]
-        assert np.linalg.norm(x - p @ (p.T @ x)) <= 1e-12
+    def test_eigh_spectrum_keeps_no_matrix(self, monkeypatch):
+        # Stored vectors answer every top(k); holding the input as well
+        # would keep one more n x n array alive per spectrum.
+        lap = normalized_laplacian(ideal_block_affinity([10, 12]))
+        block_library(monkeypatch)
+        for spec in (symmetric_eigen(lap), top_spectrum(lap)):
+            assert spec.vectors is not None and spec.matrix is None
 
     def test_symmetry_checked_once(self, monkeypatch):
         # The n x n symmetry check runs once per spectrum, on every path:
-        # the filter, its eigh fallback, and a fixed-k caller's eigh.
-        filtered = with_spectrum(bulk_below([1.0, 0.6], 100, -0.2, 0.2))
+        # the tridiagonal form, its eigh fallback at a tie, and eigh
+        # without the library.
         tied = normalized_laplacian(ideal_block_affinity([70, 90]))
         calls = []
         check = linalg._symmetric
         monkeypatch.setattr(linalg, "_symmetric", lambda m: calls.append(1) or check(m))
-        for a, eigengap in ((filtered, True), (tied, True), (tied, False)):
+        for k in (2, 1):
             calls.clear()
-            top_spectrum(a, eigengap=eigengap).top(2)
+            top_spectrum(tied).top(k)
             assert len(calls) == 1
-
-    def test_above_n_min_without_library_filters(self, monkeypatch):
-        lap = nested_laplacian("global")
         block_library(monkeypatch)
-        spec = top_spectrum(lap, eigengap=True)
-        assert spec.vectors is None and spec.tridiagonal is None
-        with no_eigh():
-            x = spec.top(2)
-        p = symmetric_eigen(lap).vectors[:, :2]
-        assert np.linalg.norm(x - p @ (p.T @ x)) <= 1e-10
+        calls.clear()
+        top_spectrum(tied).top(2)
+        assert len(calls) == 1
 
-    @needs_library
-    def test_above_n_min_with_library_is_tridiagonal(self):
-        spec = top_spectrum(nested_laplacian("global"), eigengap=True)
-        assert spec.tridiagonal is not None
-
-    def test_k_out_of_range(self):
-        spec = top_spectrum(np.eye(5) + 1.0, eigengap=True)
-        for k in (0, 6):
+    @pytest.mark.parametrize("n", [5, 1000])
+    def test_k_out_of_range(self, n):
+        spec = top_spectrum(np.eye(n) + 1.0)
+        for k in (0, n + 1):
             with pytest.raises(InvalidParameterError):
                 spec.top(k)
+
+    def test_input_validation_matches_oracle(self):
+        a = np.ones((6, 6))
+        a[0, 1] = 2.0
+        with pytest.raises(InvalidDataError):
+            top_spectrum(a)
+        with pytest.raises(DimensionError):
+            top_spectrum(np.zeros((6, 7)))
+
+    @staticmethod
+    def run_isolated(code):
+        src = str(Path(__import__("iescluster").__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-c", code], env=env).returncode
+
+    def test_import_leaves_scipy_unloaded(self):
+        code = "import sys, iescluster; sys.exit('scipy' in sys.modules)"
+        assert self.run_isolated(code) == 0
+
+    @needs_library
+    def test_tridiagonal_solve_leaves_scipy_unloaded(self):
+        code = (
+            "import sys, numpy as np\n"
+            "from iescluster.linalg import top_spectrum\n"
+            "x = np.random.default_rng(0).standard_normal((80, 80))\n"
+            "spec = top_spectrum(x + x.T)\n"
+            "assert spec.tridiagonal is not None and spec.top(3).shape == (80, 3)\n"
+            "sys.exit('scipy' in sys.modules)\n"
+        )
+        assert self.run_isolated(code) == 0
+
+    # Either size: a node's Laplacian and the benchmark roots' order.
+    @pytest.mark.parametrize("small", [False, True])
+    def test_failed_self_check_is_the_numpy_path(self, monkeypatch, request, small):
+        if small:
+            lap = normalized_laplacian(ideal_block_affinity([10, 12]))
+        else:
+            lap = nested_laplacian("global")
+        with monkeypatch.context() as blocked:
+            block_library(blocked)
+            numpy_only = top_spectrum(lap)
+            expected = numpy_only.values, numpy_only.top(3)
+        request.addfinalizer(lapack.library.cache_clear)
+        monkeypatch.setattr(lapack, "_self_check", lambda lib: False)
+        lapack.library.cache_clear()
+        assert lapack.library() is None
+        spec = top_spectrum(lap)
+        assert spec.tridiagonal is None
+        assert np.array_equal(spec.values, expected[0])
+        assert np.array_equal(spec.top(3), expected[1])
+
+    def test_bundled_library_is_found(self):
+        # Where numpy ships an OpenBLAS64, the lookup must accept it: a
+        # binding that fails the self-check would silently skip every
+        # tridiagonal test.
+        if not list(lapack._candidates()):
+            pytest.skip("numpy bundles no OpenBLAS64")
+        assert lapack.library() is not None
+
+    def test_library_without_the_routines_is_refused(self):
+        ctypes_module = pytest.importorskip("_ctypes")
+        if not hasattr(ctypes_module, "__file__"):
+            pytest.skip("_ctypes is built into the interpreter")
+        # A shared library that links no LAPACK, and a file that is none.
+        assert lapack._open(Path(ctypes_module.__file__)) is None
+        assert lapack._open(Path(__file__)) is None
 
 
 class TestCovariance:

@@ -15,12 +15,14 @@ from iescluster.errors import (
     InvalidParameterError,
 )
 from iescluster import linalg
-from iescluster.linalg import covariance, pairwise_distances, pca
+from iescluster.linalg import pairwise_distances
 from iescluster.scaling import (
     estimate_global_sigma,
     estimate_local_sigmas,
     manual_global_sigma,
 )
+
+from conftest import pca
 
 
 def two_column_data(var1, var2):
