@@ -1,4 +1,6 @@
-"""Gaussian affinity matrices and the symmetric normalized Laplacian."""
+"""Gaussian affinity matrices and the symmetric normalized Laplacian, each
+built in its input's buffer: the affinities overwrite ``pairwise_distances(x)``
+and ``normalized_laplacian`` scales a float64 affinity in place."""
 
 from __future__ import annotations
 
@@ -7,27 +9,26 @@ import math
 import numpy as np
 
 from .errors import DimensionError, InvalidParameterError, IsolatedPointsError
-from .linalg import as_matrix, pairwise_distances
+from .linalg import as_matrix
 
 
-def _distance_term(data, distance_exponent: int, distances) -> np.ndarray:
-    """dist^e in a buffer the caller may overwrite: ``distances`` itself when
-    given (squared in place for e=2), else a freshly computed matrix."""
+def _distance_term(distances, distance_exponent: int) -> np.ndarray:
+    """Checks, then dist^e in the caller's buffer (squared in place for e=2)."""
     if distance_exponent not in (1, 2):
         raise InvalidParameterError(
             f"distance_exponent must be 1 or 2, got {distance_exponent}"
         )
-    n = np.shape(data)[0]
-    d = pairwise_distances(data) if distances is None else distances
-    if d.shape != (n, n):
-        raise DimensionError(f"distances must be {n}x{n}, got {d.shape}")
+    d = np.asarray(distances, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise DimensionError(f"distances must be a square matrix, got {d.shape}")
     if distance_exponent == 2:
         np.multiply(d, d, out=d)
     return d
 
 
-def affinity_global(data, sigma_sq: float, distance_exponent: int = 2) -> np.ndarray:
-    """Affinity A_ij = exp(-dist_ij^e / (2 sigma_sq)), zero diagonal.
+def affinity_global(distances, sigma_sq: float, distance_exponent: int = 2) -> np.ndarray:
+    """Affinity A_ij = exp(-dist_ij^e / (2 sigma_sq)), zero diagonal, from
+    ``distances = pairwise_distances(x)``, which it overwrites and returns.
 
     The exponent e defaults to squared Euclidean distance; e=1 keeps the
     plain norm for comparison runs. sigma_sq must be finite and positive.
@@ -36,7 +37,7 @@ def affinity_global(data, sigma_sq: float, distance_exponent: int = 2) -> np.nda
         raise InvalidParameterError(
             f"sigma_sq must be finite and positive, got {sigma_sq}"
         )
-    a = _distance_term(data, distance_exponent, None)
+    a = _distance_term(distances, distance_exponent)
     # t / -c rounds exactly as -t / c, the textbook form.
     np.divide(a, -2.0 * sigma_sq, out=a)
     np.exp(a, out=a)
@@ -44,31 +45,22 @@ def affinity_global(data, sigma_sq: float, distance_exponent: int = 2) -> np.nda
     return a
 
 
-def affinity_local(
-    data, local_sigmas, distance_exponent: int = 2, *, distances=None
-) -> np.ndarray:
-    """Affinity A_ij = exp(-dist_ij^e / (sigma_i sigma_j)), zero diagonal.
+def affinity_local(distances, local_sigmas, distance_exponent: int = 2) -> np.ndarray:
+    """Affinity A_ij = exp(-dist_ij^e / (sigma_i sigma_j)), zero diagonal, from
+    ``distances = pairwise_distances(x)``, which it overwrites and returns.
 
     Pairs with sigma_i * sigma_j == 0 (duplicate points) get affinity 1 when
     coincident and 0 otherwise, the limit of the expression as the scale
     shrinks. Local sigmas must be finite and nonnegative.
-
-    ``distances``, when given, must be ``pairwise_distances(data)``. The
-    affinity takes ownership of that buffer: it is overwritten in place and
-    returned as the affinity, so the caller must not use it as distances
-    afterwards.
     """
-    x = as_matrix(data)
     sig = np.asarray(local_sigmas, dtype=float).ravel()
-    if sig.shape[0] != x.shape[0]:
-        raise DimensionError(
-            f"local_sigmas length {sig.shape[0]} != number of points {x.shape[0]}"
-        )
+    if sig.shape != np.shape(distances)[:1]:
+        raise DimensionError(f"{sig.size} local sigmas for a {np.shape(distances)} matrix")
     if not np.all(np.isfinite(sig)):
         raise InvalidParameterError("local sigmas must be finite")
     if np.any(sig < 0):
         raise InvalidParameterError("local sigmas must be nonnegative")
-    a = _distance_term(x, distance_exponent, distances)
+    a = _distance_term(distances, distance_exponent)
     neg_denom = np.multiply.outer(-sig, sig)
     zero = neg_denom == 0.0
     limit = None
@@ -85,7 +77,8 @@ def affinity_local(
 
 
 def normalized_laplacian(a) -> np.ndarray:
-    """Symmetric normalization L = D^{-1/2} A D^{-1/2}, D the degree diagonal.
+    """Symmetric normalization L = D^{-1/2} A D^{-1/2}, D the degree diagonal,
+    in place for a float64 ``a`` (other input is copied first).
 
     Raises IsolatedPointsError (carrying the offending indices) when a row of
     the affinity sums to zero, or to so little that 1/degree overflows (its
@@ -101,7 +94,4 @@ def normalized_laplacian(a) -> np.ndarray:
         isolated = np.nonzero(~np.isfinite(inv_sqrt * inv_sqrt))[0]
     if isolated.size:
         raise IsolatedPointsError(isolated)
-    # Scaled into the outer product's own buffer: one n x n temporary fewer,
-    # and the same bits as m * outer, since multiplication commutes.
-    scale = np.outer(inv_sqrt, inv_sqrt)
-    return np.multiply(m, scale, out=scale)
+    return np.multiply(m, np.outer(inv_sqrt, inv_sqrt), out=m)

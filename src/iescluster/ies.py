@@ -30,8 +30,8 @@ from .errors import (
     IsolatedPointsError,
 )
 from .kmeans import kmeans
-from .linalg import as_matrix, pairwise_distances, top_spectrum
-from .njw import node_laplacian, row_normalize
+from .linalg import Spectrum, as_matrix, pairwise_distances
+from .njw import node_spectrum, row_normalize
 from .scaling import ScalingEstimate, estimate_global_sigma, estimate_local_sigmas
 
 LEAF_EIGENGAP_ONE = "eigengap-one"
@@ -137,31 +137,18 @@ class _NodeStep:
     children: list[tuple[np.ndarray, str | None]] = field(default_factory=list)
 
 
-def _estimate_node_sigma(
-    sub: np.ndarray, mode: str, config: IesConfig
-) -> tuple[ScalingEstimate, np.ndarray | None]:
-    """The node's scale and, for local scaling, the distance matrix it was
-    estimated from; the node's affinity is then built in place in that
-    matrix. Global nodes return None and build theirs inside the affinity."""
-    if mode == "global":
-        return estimate_global_sigma(sub, config.variance_threshold), None
-    distances = pairwise_distances(sub)
-    return estimate_local_sigmas(sub, config.knn_k, distances=distances), distances
-
-
 def _split_spectrum(
-    lap: np.ndarray,
+    eig: Spectrum,
     sigma: ScalingEstimate,
     config: IesConfig,
     seed: int,
     k_override: int | None = None,
 ) -> _NodeStep:
-    """Eigensolve through k-means for one node's normalized Laplacian.
+    """Eigengap through k-means for one node's spectrum.
 
     Member arrays inside the returned step index into the node's points;
     the caller translates them back to root indices.
     """
-    eig = top_spectrum(lap)
     if k_override is None:
         k = eigengap_k(eig.values, config.search_fraction).k
     else:
@@ -191,20 +178,30 @@ def _node_step(
 ) -> _NodeStep:
     """Scale, spectrum, eigengap and split for one set of member points.
 
-    ``sigma``, when given, replaces the node's own scale estimate. Child
-    member arrays of the returned step are root indices.
+    The node computes one distance matrix, whatever its mode: a local scale
+    is read from it, and ``node_spectrum`` turns it into the Laplacian in
+    place. ``sigma``, when given, replaces the node's own scale estimate.
+    Child member arrays of the returned step are root indices.
     """
     sub = data[members]
     if np.all(sub == sub[0]):
         return _NodeStep(leaf_reason=LEAF_DEGENERATE)
-    distances = None
+    distances = pairwise_distances(sub)
     if sigma is None:
         try:
-            sigma, distances = _estimate_node_sigma(sub, mode, config)
+            if mode == "global":
+                sigma = estimate_global_sigma(sub, config.variance_threshold)
+            else:
+                sigma = estimate_local_sigmas(sub, config.knn_k, distances=distances)
         except DegenerateDataError:
             return _NodeStep(leaf_reason=LEAF_DEGENERATE)
     try:
-        lap = node_laplacian(sub, sigma, config.distance_exponent, distances=distances)
+        # The spectrum is the call's argument, so dsytrd's reflector copy is
+        # freed before the node's buffer: the other order costs an n x n of RSS.
+        step = _split_spectrum(
+            node_spectrum(distances, sigma, config.distance_exponent),
+            sigma, config, seed, k_override,
+        )
     except IsolatedPointsError as err:
         iso = np.asarray(err.indices, dtype=int)
         rest = np.setdiff1d(np.arange(sub.shape[0]), iso)
@@ -212,11 +209,6 @@ def _node_step(
         if rest.size:
             children.append((rest, None))
         step = _NodeStep(sigma=sigma, children=children)
-    else:
-        # A local affinity is built in the distance buffer: release it
-        # before the eigensolve, which needs only the Laplacian.
-        del distances
-        step = _split_spectrum(lap, sigma, config, seed, k_override)
     step.children = [(members[idx], reason) for idx, reason in step.children]
     return step
 

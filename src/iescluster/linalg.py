@@ -205,7 +205,8 @@ def covariance_eigenvalues(data) -> np.ndarray:
     if n < 2:
         raise InsufficientDataError(f"covariance needs at least 2 rows, got {n}")
     centered = x - x.mean(axis=0)
-    side = centered @ centered.T if n < m else centered.T @ centered
+    with np.errstate(over="ignore"):  # an inf side is rejected below
+        side = centered @ centered.T if n < m else centered.T @ centered
     values = np.zeros(m)
     # eigvalsh reads one triangle, so the product needs no symmetrizing.
     values[: side.shape[0]] = np.linalg.eigvalsh(as_matrix(side / (n - 1)))[::-1]
@@ -227,10 +228,11 @@ def pairwise_distances(data) -> np.ndarray:
     n = x.shape[0]
     out = np.empty((n, n))
     diff = np.empty((max(n - 1, 0), x.shape[1]))
-    for i in range(n):
-        rest = np.subtract(x[i + 1 :], x[i], out=diff[: n - 1 - i])
-        np.multiply(rest, rest, out=rest)
-        row = np.sqrt(np.sum(rest, axis=1), out=out[i, i + 1 :])
-        out[i + 1 :, i] = row
+    with np.errstate(over="ignore"):  # inf: affinity 0, or a rejected local sigma
+        for i in range(n):
+            rest = np.subtract(x[i + 1 :], x[i], out=diff[: n - 1 - i])
+            np.multiply(rest, rest, out=rest)
+            row = np.sqrt(np.sum(rest, axis=1), out=out[i, i + 1 :])
+            out[i + 1 :, i] = row
     np.fill_diagonal(out, 0.0)
     return out

@@ -1,5 +1,5 @@
-"""Spectral clustering pipeline: affinity -> normalized Laplacian -> top-k
-eigenvector embedding with row normalization -> k-means on the embedding."""
+"""Spectral clustering pipeline: distances -> affinity -> normalized Laplacian,
+in one buffer -> row-normalized top-k eigenvectors -> k-means on them."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 from .affinity import affinity_global, affinity_local, normalized_laplacian
 from .errors import DegenerateEmbeddingError, InvalidParameterError
 from .kmeans import kmeans
-from .linalg import Spectrum, top_spectrum
+from .linalg import Spectrum, pairwise_distances, top_spectrum
 from .scaling import ScalingEstimate
 
 # Row norms this far below the largest row are treated as numerically zero.
@@ -18,21 +18,15 @@ _ROWS_SHOWN = 5
 
 
 def build_affinity(
-    data, scaling: ScalingEstimate, distance_exponent: int = 2, *, distances=None
+    distances, scaling: ScalingEstimate, distance_exponent: int = 2
 ) -> np.ndarray:
-    """Affinity matrix for either scaling kind.
-
-    ``distances`` applies to local scaling, whose estimate already needed
-    them: when given, it is ``pairwise_distances(data)`` and is overwritten
-    in place to become the affinity (see ``affinity_local``). A global
-    affinity builds its own distance matrix.
-    """
+    """Affinity matrix for either scaling kind, built in place in
+    ``distances = pairwise_distances(x)`` (see ``affinity_global`` and
+    ``affinity_local``)."""
     if scaling.kind == "global":
-        return affinity_global(data, scaling.sigma_sq, distance_exponent)
+        return affinity_global(distances, scaling.sigma_sq, distance_exponent)
     if scaling.kind == "local":
-        return affinity_local(
-            data, scaling.local_sigmas, distance_exponent, distances=distances
-        )
+        return affinity_local(distances, scaling.local_sigmas, distance_exponent)
     raise InvalidParameterError(f"unknown scaling kind {scaling.kind!r}")
 
 
@@ -51,31 +45,19 @@ def row_normalize(vectors: np.ndarray) -> np.ndarray:
     return vectors / norms[:, None]
 
 
-def node_laplacian(
-    data, scaling: ScalingEstimate, distance_exponent: int = 2, *, distances=None
-) -> np.ndarray:
-    """Affinity -> normalized Laplacian for one set of points.
-
-    Isolated-point errors from the Laplacian propagate to the caller.
-    ``distances`` is handed to ``build_affinity``, which overwrites it; the
-    affinity itself is released on return.
-    """
-    return normalized_laplacian(
-        build_affinity(data, scaling, distance_exponent, distances=distances)
-    )
-
-
 def node_spectrum(
-    data, scaling: ScalingEstimate, distance_exponent: int = 2
+    distances, scaling: ScalingEstimate, distance_exponent: int = 2
 ) -> Spectrum:
-    """Laplacian -> spectrum for one set of points: the one spectral chain
-    behind the IES node step (which runs its two stages itself, to release a
-    local affinity's distance buffer in between), NJW and the elbow sweep.
+    """The one spectral chain, behind the IES node step, NJW and the elbow
+    sweep: ``distances = pairwise_distances(x)`` becomes the affinity and
+    then the normalized Laplacian in place, the spectrum's ``matrix``.
 
     It returns every eigenvalue; the top eigenvectors come from the result's
-    ``top(k)`` (see ``top_spectrum``).
+    ``top(k)`` (see ``top_spectrum``). Isolated-point errors propagate.
     """
-    return top_spectrum(node_laplacian(data, scaling, distance_exponent))
+    return top_spectrum(
+        normalized_laplacian(build_affinity(distances, scaling, distance_exponent))
+    )
 
 
 def spectral_embed(laplacian, k: int) -> np.ndarray:
@@ -94,5 +76,7 @@ def njw_cluster(
 
     Isolated-point and degenerate-embedding errors propagate to the caller.
     """
-    embedding = row_normalize(node_spectrum(data, scaling, distance_exponent).top(k))
+    embedding = row_normalize(
+        node_spectrum(pairwise_distances(data), scaling, distance_exponent).top(k)
+    )
     return kmeans(embedding, k, seed).assignments

@@ -55,14 +55,17 @@ def data_with_duplicates(rng, n=60, m=7):
 
 
 class TestFusedAffinity:
-    """The fused, in-place affinities against the textbook expression, bit
-    for bit; the local one also with a precomputed distance matrix."""
+    """The fused affinities and the Laplacian against the textbook
+    expression, bit for bit, each built in its input's buffer."""
 
     @pytest.mark.parametrize("exponent", [1, 2])
     def test_global(self, rng, exponent):
         data = data_with_duplicates(rng)
         expected = global_oracle(data, 1.7, exponent)
-        assert np.array_equal(affinity_global(data, 1.7, exponent), expected)
+        dist = pairwise_distances(data)
+        a = affinity_global(dist, 1.7, exponent)
+        assert np.array_equal(a, expected)
+        assert a is dist  # the buffer became the affinity
 
     @pytest.mark.parametrize("exponent", [1, 2])
     def test_local(self, rng, exponent):
@@ -73,53 +76,78 @@ class TestFusedAffinity:
         sigmas[[0, 1, 5]] = 0.0
         sigmas[[7, 8]] = 1e-170
         expected = local_oracle(data, sigmas, exponent)
-        assert np.array_equal(affinity_local(data, sigmas, exponent), expected)
         dist = pairwise_distances(data)
-        a = affinity_local(data, sigmas, exponent, distances=dist)
+        a = affinity_local(dist, sigmas, exponent)
         assert np.array_equal(a, expected)
         assert a is dist  # the buffer became the affinity
 
+    @pytest.mark.parametrize("local", [False, True])
+    def test_laplacian(self, rng, local):
+        x = data_with_duplicates(rng)
+        scaling = estimate_local_sigmas(x) if local else estimate_global_sigma(x)
+        a = build_affinity(pairwise_distances(x), scaling)
+        inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+        expected = a * np.outer(inv_sqrt, inv_sqrt)
+        lap = normalized_laplacian(a)
+        assert np.array_equal(lap, expected)
+        assert lap is a  # a float64 affinity is scaled where it lies
+
+    def test_laplacian_copies_other_input(self):
+        a = ideal_block_affinity((3, 4)).astype(np.float32)
+        before = a.copy()
+        lap = normalized_laplacian(a)
+        assert lap.dtype == np.float64
+        assert np.array_equal(a, before)
+
     def test_shape_checked(self):
         with pytest.raises(DimensionError):
-            affinity_local(np.eye(3), np.ones(3), distances=np.zeros((3, 2)))
+            affinity_local(np.zeros((3, 2)), np.ones(3))
+        with pytest.raises(DimensionError):
+            affinity_global(np.zeros((3, 2)), 1.0)
+        # A rejected call leaves the buffer as it was.
+        dist = pairwise_distances(np.eye(3))
+        before = dist.copy()
+        with pytest.raises(DimensionError):
+            affinity_local(dist, [1.0, 1.0])
+        assert np.array_equal(dist, before)
 
 
 class TestAffinityGlobal:
     def test_identical_points(self):
-        a = affinity_global(np.array([[1.0, 2.0], [1.0, 2.0]]), sigma_sq=3.0)
+        a = affinity_global(pairwise_distances([[1.0, 2.0], [1.0, 2.0]]), sigma_sq=3.0)
         assert a[0, 1] == 1.0
         assert a[0, 0] == 0.0 and a[1, 1] == 0.0
 
     def test_unit_distance_hand_value(self):
         # exp(-1^2 / (2 * 0.5)) = exp(-1)
-        a = affinity_global(np.array([[0.0], [1.0]]), sigma_sq=0.5)
+        a = affinity_global(pairwise_distances([[0.0], [1.0]]), sigma_sq=0.5)
         assert a[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_huge_sigma_saturates(self, rng):
         data = rng.uniform(-5, 5, (8, 3))
-        a = affinity_global(data, sigma_sq=1e12)
+        a = affinity_global(pairwise_distances(data), sigma_sq=1e12)
         off = a[~np.eye(8, dtype=bool)]
         assert np.all(off > 1 - 1e-9)
 
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(InvalidParameterError):
-            affinity_global(np.eye(2), sigma_sq=0.0)
+            affinity_global(pairwise_distances(np.eye(2)), sigma_sq=0.0)
 
     @pytest.mark.parametrize("sigma_sq", [np.inf, -np.inf, np.nan])
     def test_non_finite_sigma_rejected(self, sigma_sq):
         with pytest.raises(InvalidParameterError):
-            affinity_global(np.eye(2), sigma_sq=sigma_sq)
+            affinity_global(pairwise_distances(np.eye(2)), sigma_sq=sigma_sq)
 
     def test_distance_exponent_one(self):
         # literal unsquared reading: exp(-1 / (2 * 0.5)) = exp(-1) for d=1,
         # and exp(-2/1) for d=2
-        a = affinity_global(np.array([[0.0], [2.0]]), sigma_sq=0.5, distance_exponent=1)
+        a = affinity_global(pairwise_distances([[0.0], [2.0]]), sigma_sq=0.5, distance_exponent=1)
         assert a[0, 1] == pytest.approx(math.exp(-2.0), rel=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(data_matrices(), st.floats(min_value=0.01, max_value=100))
     def test_bounds_symmetry_zero_diagonal(self, data, sigma_sq):
-        a = affinity_global(data, sigma_sq)
+        a = affinity_global(pairwise_distances(data), sigma_sq)
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0)
         assert np.all((a >= 0) & (a <= 1))
@@ -127,8 +155,8 @@ class TestAffinityGlobal:
     @settings(max_examples=30, deadline=None)
     @given(data_matrices(), st.floats(min_value=-100, max_value=100))
     def test_shift_invariance(self, data, shift):
-        a = affinity_global(data, 2.0)
-        b = affinity_global(data + shift, 2.0)
+        a = affinity_global(pairwise_distances(data), 2.0)
+        b = affinity_global(pairwise_distances(data + shift), 2.0)
         assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
 
 
@@ -136,21 +164,21 @@ class TestAffinityLocal:
     def test_distance_equals_both_sigmas(self):
         # d = 5, sigma_i = sigma_j = 5: exp(-25 / 25) = exp(-1)
         data = np.array([[0.0, 0.0], [3.0, 4.0]])
-        a = affinity_local(data, [5.0, 5.0])
+        a = affinity_local(pairwise_distances(data), [5.0, 5.0])
         assert a[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_identical_points_zero_sigma(self):
-        a = affinity_local(np.array([[2.0], [2.0]]), [0.0, 0.0])
+        a = affinity_local(pairwise_distances([[2.0], [2.0]]), [0.0, 0.0])
         assert a[0, 1] == 1.0
 
     def test_distinct_points_zero_sigma(self):
-        a = affinity_local(np.array([[0.0], [3.0]]), [0.0, 1.0])
+        a = affinity_local(pairwise_distances([[0.0], [3.0]]), [0.0, 1.0])
         assert a[0, 1] == 0.0
 
     def test_three_points_brute_force(self):
         data = np.array([[0.0], [1.0], [10.0]])
         sigmas = np.array([10.0, 9.0, 10.0])
-        a = affinity_local(data, sigmas)
+        a = affinity_local(pairwise_distances(data), sigmas)
         for i in range(3):
             for j in range(3):
                 if i == j:
@@ -162,19 +190,19 @@ class TestAffinityLocal:
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
-            affinity_local(np.eye(3), [1.0, 1.0])
+            affinity_local(pairwise_distances(np.eye(3)), [1.0, 1.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_sigmas_rejected(self, bad):
         with pytest.raises(InvalidParameterError):
-            affinity_local(np.eye(3), [1.0, bad, 1.0])
+            affinity_local(pairwise_distances(np.eye(3)), [1.0, bad, 1.0])
 
     @settings(max_examples=30, deadline=None)
     @given(data_matrices(max_n=10), st.floats(min_value=-50, max_value=50))
     def test_shift_invariance_and_bounds(self, data, shift):
         sigmas = np.full(data.shape[0], 2.0)
-        a = affinity_local(data, sigmas)
-        b = affinity_local(data + shift, sigmas)
+        a = affinity_local(pairwise_distances(data), sigmas)
+        b = affinity_local(pairwise_distances(data + shift), sigmas)
         assert np.allclose(a, b, rtol=1e-9, atol=1e-12)
         assert np.array_equal(a, a.T)
         assert np.all((a >= 0) & (a <= 1))
@@ -184,7 +212,7 @@ class TestAffinityLocal:
 class TestNormalizedLaplacian:
     def test_two_point_hand_case(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
-        lap = normalized_laplacian(a)
+        lap = normalized_laplacian(a.copy())
         assert np.allclose(lap, a)
         values = symmetric_eigen(lap).values
         assert values == pytest.approx([1.0, -1.0], abs=1e-12)
@@ -223,14 +251,14 @@ class TestNormalizedLaplacian:
         x = np.vstack([rng.normal(0, 1, (40, 3)), rng.normal(6, 0.1, (30, 3))])
         x[5] = x[4]  # a duplicate point: zero local sigma products
         scaling = estimate_local_sigmas(x) if local else estimate_global_sigma(x)
-        lap = normalized_laplacian(build_affinity(x, scaling))
+        lap = normalized_laplacian(build_affinity(pairwise_distances(x), scaling))
         assert np.array_equal(lap, lap.T)
         assert np.array_equal((lap + lap.T) / 2.0, lap)
 
     def test_subnormal_degrees_are_isolated(self):
         # exp(-47^2 / 3) underflows to a subnormal; scaling by 1/degree
         # would overflow to inf and NaN.
-        a = affinity_global(np.array([[21.0], [-26.0]]), sigma_sq=1.5)
+        a = affinity_global(pairwise_distances([[21.0], [-26.0]]), sigma_sq=1.5)
         assert 0.0 < a[0, 1] < np.finfo(float).tiny
         with pytest.raises(IsolatedPointsError) as excinfo:
             normalized_laplacian(a)
@@ -239,9 +267,9 @@ class TestNormalizedLaplacian:
     @settings(max_examples=40, deadline=None)
     @given(data_matrices(max_n=12), st.floats(min_value=0.05, max_value=50))
     def test_spectrum_bounds_and_top_eigenvalue(self, data, sigma_sq):
-        a = affinity_global(data, sigma_sq)
+        a = affinity_global(pairwise_distances(data), sigma_sq)
         try:
-            lap = normalized_laplacian(a)
+            lap = normalized_laplacian(a.copy())
         except IsolatedPointsError:
             return
         values = symmetric_eigen(lap).values

@@ -1,6 +1,10 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,6 +288,27 @@ class TestCommandLine:
         assert capsys.readouterr().err.splitlines() == [
             "error: matrix contains NaN or Inf entries"
         ]
+
+    @pytest.mark.parametrize("mode", ["ies-global", "ies-local", "legacy-eigengap", "els"])
+    def test_overflow_is_one_stderr_line(self, tmp_path, mode):
+        # Distances and the covariance overflow to inf. pytest captures
+        # numpy's RuntimeWarnings in-process, so only a real process shows
+        # whether they reach stderr before the error line.
+        rng = np.random.default_rng(0)
+        features = np.vstack([rng.normal(0, 1, (40, 3)), rng.normal(9, 1, (40, 3))])
+        path = tmp_path / "huge.csv"
+        save_dataset(Dataset(features=features * 1e160), path)
+        out = tmp_path / "x.json"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "iescluster", "run", "--mode", mode,
+             "--input", str(path), "--has-header", "--output", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
 
     def test_bad_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

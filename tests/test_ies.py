@@ -321,8 +321,9 @@ def distance_calls(monkeypatch):
 
 
 class TestDistanceMatrixPerNode:
-    """Each spectral node computes its distance matrix exactly once; local
-    nodes reuse the matrix of their scale estimate for the affinity."""
+    """Every spectral node, whatever its scale, computes one distance matrix:
+    a local scale is read from it, and the spectral chain turns it into the
+    affinity and the Laplacian in place."""
 
     @pytest.mark.parametrize("mode", ["local", "global"])
     @pytest.mark.parametrize("n_workers", [1, 2])
@@ -336,6 +337,20 @@ class TestDistanceMatrixPerNode:
     def test_els_one_call(self, distance_calls):
         data, _ = separated_blobs((25, 25, 25), seed=4)
         els_cluster(data, master_seed=0)
+        assert len(distance_calls) == 1
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda x: legacy_eigengap_cluster(x, master_seed=0),
+            lambda x: njw_outcome(x, 3, master_seed=0),
+            lambda x: elbow_sweep(x, (1, 6), estimate_global_sigma(x), seed=0),
+        ],
+        ids=["legacy", "njw", "elbow"],
+    )
+    def test_global_one_pass_one_call(self, distance_calls, run):
+        data, _ = separated_blobs((25, 25, 25), seed=4)
+        run(data)
         assert len(distance_calls) == 1
 
 
@@ -404,8 +419,7 @@ class TestSpectrumPath:
         data, _ = separated_blobs([60] * 3, separation=10.0, spread=1.0, dims=3, seed=1)
         monkeypatch.setattr(lapack, "library", lambda: None)
         blocked = spectral_results(data)
-        for module in (ies_module, njw_module):
-            monkeypatch.setattr(module, "top_spectrum", linalg.symmetric_eigen)
+        monkeypatch.setattr(njw_module, "top_spectrum", linalg.symmetric_eigen)
         assert spectral_results(data) == blocked
 
 
@@ -456,7 +470,7 @@ class TestTreeOracle:
             spectra.append(spec.values)
             return spec
 
-        with mock.patch.object(ies_module, "top_spectrum", oracle):
+        with mock.patch.object(njw_module, "top_spectrum", oracle):
             reference = ies_cluster(data, mode, master_seed=0)
         same = partition_of(shipped.leaf_assignments) == partition_of(reference.leaf_assignments)
         # Otherwise some node's top eigenspace must be tied inside the cuts

@@ -16,6 +16,7 @@ from iescluster.kmeans import (
     kmeans,
     sse,
 )
+from iescluster.linalg import pairwise_distances
 from iescluster.njw import node_spectrum, row_normalize
 from iescluster.scaling import estimate_global_sigma
 from iescluster.synth import augment_with_noise, nested_scale_dataset
@@ -401,7 +402,7 @@ def assert_same_result(result, reference):
 @pytest.fixture(scope="module")
 def nested_vectors():
     x = nested_scale_dataset(n_per_group=100, seed=0).features
-    return node_spectrum(x, estimate_global_sigma(x)).top(12)
+    return node_spectrum(pairwise_distances(x), estimate_global_sigma(x)).top(12)
 
 
 class TestKMeansMatchesLoop:
@@ -419,7 +420,8 @@ class TestKMeansMatchesLoop:
         # assignment step uses the (n, k) layout.
         data = augment_with_noise(nested_scale_dataset(n_per_group=40, seed=1), 400,
                                   noise_sd=0.05, seed=1).features
-        embedding = row_normalize(node_spectrum(data, estimate_global_sigma(data)).top(95))
+        spectrum = node_spectrum(pairwise_distances(data), estimate_global_sigma(data))
+        embedding = row_normalize(spectrum.top(95))
         assert_same_result(kmeans(embedding, 95, seed=2), kmeans_by_loop(embedding, 95, 2))
 
     @pytest.mark.parametrize("k", [3, 8])

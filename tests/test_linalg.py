@@ -147,7 +147,7 @@ def nested_laplacian(kind):
         scaling = estimate_global_sigma(x)
     else:
         scaling = estimate_local_sigmas(x, 7)
-    return normalized_laplacian(build_affinity(x, scaling))
+    return normalized_laplacian(build_affinity(pairwise_distances(x), scaling))
 
 
 def block_library(monkeypatch):
@@ -174,7 +174,7 @@ def blob_laplacians(draw):
     spread = draw(st.sampled_from([0.05, 1.0, 5.0, 15.0]))
     seed = draw(st.integers(min_value=0, max_value=2**16))
     x, _ = separated_blobs(sizes, spread=spread, dims=groups, seed=seed)
-    return normalized_laplacian(build_affinity(x, estimate_global_sigma(x)))
+    return normalized_laplacian(build_affinity(pairwise_distances(x), estimate_global_sigma(x)))
 
 
 def with_spectrum(values, seed=0):
@@ -218,7 +218,7 @@ class TestTopSpectrum:
         # the cut at 12 is wide: the near-tie inside the cut takes the
         # tridiagonal path, and only the subspace is compared.
         x, _ = separated_blobs([88] * 12, dims=12)
-        lap = normalized_laplacian(build_affinity(x, estimate_global_sigma(x)))
+        lap = normalized_laplacian(build_affinity(pairwise_distances(x), estimate_global_sigma(x)))
         self.check_against_oracle(lap, 12)
 
     @needs_library
@@ -271,7 +271,7 @@ class TestTopSpectrum:
         # 1.12e-15. sigma^2 is pinned to the bits the draw had.
         x, _ = separated_blobs([22, 15], spread=0.05, dims=2, seed=89)
         sigma = manual_global_sigma(float.fromhex("0x1.35a5c35c9681ep+12"))
-        self.check_eigengap_cut(normalized_laplacian(build_affinity(x, sigma)))
+        self.check_eigengap_cut(normalized_laplacian(build_affinity(pairwise_distances(x), sigma)))
 
     @staticmethod
     def check_eigengap_cut(lap):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,13 +7,21 @@ from conftest import (
     best_permutation_accuracy,
     block_labels,
     ideal_block_affinity,
+    needs_library,
     partition_of,
     separated_blobs,
 )
 from iescluster.affinity import normalized_laplacian
 from iescluster.errors import DegenerateEmbeddingError, InvalidParameterError
-from iescluster.njw import njw_cluster, row_normalize, spectral_embed
-from iescluster.scaling import ScalingEstimate, estimate_global_sigma, manual_global_sigma
+from iescluster.linalg import pairwise_distances
+from iescluster.njw import node_spectrum, njw_cluster, row_normalize, spectral_embed
+from iescluster.scaling import (
+    ScalingEstimate,
+    estimate_global_sigma,
+    estimate_local_sigmas,
+    manual_global_sigma,
+)
+from iescluster.synth import nested_scale_dataset
 
 
 class TestSpectralEmbed:
@@ -34,7 +44,7 @@ class TestSpectralEmbed:
         scaling = estimate_global_sigma(data)
         from iescluster.njw import build_affinity
 
-        lap = normalized_laplacian(build_affinity(data, scaling))
+        lap = normalized_laplacian(build_affinity(pairwise_distances(data), scaling))
         for k in (1, 2, 5, 12):
             y = spectral_embed(lap, k)
             assert np.allclose(np.sum(y**2, axis=1), 1.0, atol=1e-12)
@@ -114,3 +124,26 @@ class TestRowNormalize:
         assert str(err.value) == (
             "706 embedding rows are numerically zero (first: [2, 5, 7, 11, 13])"
         )
+
+
+class TestNodeSpectrum:
+    """The chain runs in its input's buffer: on the tridiagonal path the
+    spectrum's matrix is the distance matrix that went in, and the call
+    allocates little beyond the n x n copy that holds dsytrd's reflectors."""
+
+    @needs_library
+    @pytest.mark.parametrize("local", [False, True])
+    def test_one_buffer(self, local):
+        x = nested_scale_dataset(n_per_group=200, seed=0).features
+        n = x.shape[0]
+        assert n == 600
+        scaling = estimate_local_sigmas(x) if local else estimate_global_sigma(x)
+        d = pairwise_distances(x)
+        tracemalloc.start()
+        try:
+            spectrum = node_spectrum(d, scaling)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spectrum.matrix is d
+        assert peak <= 1.25 * 8 * n * n
