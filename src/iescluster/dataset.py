@@ -60,7 +60,8 @@ def load_dataset(path, label_column=None, has_header: bool = False) -> Dataset:
     # Each kept row's line in the file (a quoted multi-line record's last).
     rows, lines = [], []
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        # utf-8-sig drops the byte-order mark of Excel's "CSV UTF-8" export.
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             for row in reader:
                 if any(cell.strip() for cell in row):

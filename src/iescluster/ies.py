@@ -192,7 +192,7 @@ def _node_step(
             if mode == "global":
                 sigma = estimate_global_sigma(sub, config.variance_threshold)
             else:
-                sigma = estimate_local_sigmas(sub, config.knn_k, distances=distances)
+                sigma = estimate_local_sigmas(distances, config.knn_k)
         except DegenerateDataError:
             return _NodeStep(leaf_reason=LEAF_DEGENERATE)
     try:

@@ -2,7 +2,8 @@
 
 Two schemes: a PCA-based global sigma^2 (weighted mean of major principal-axis
 variances, axes chosen to cover a cumulative explained-variance threshold) and
-a per-point local sigma (distance to the k-th nearest neighbor).
+a per-point local sigma (distance to the k-th nearest neighbor), read from the
+node's ``pairwise_distances`` matrix before the affinity overwrites it.
 
 The variance along principal axis i is the i-th covariance eigenvalue, and no
 axis or projection enters sigma^2, so the global scheme takes the eigenvalues
@@ -25,10 +26,7 @@ from .errors import (
     InvalidDataError,
     InvalidParameterError,
 )
-from .linalg import as_matrix, covariance_eigenvalues, pairwise_distances
-
-# Rows of the distance matrix partitioned at a time by estimate_local_sigmas.
-_PARTITION_ROWS = 256
+from .linalg import as_matrix, covariance_eigenvalues
 
 
 @dataclass(frozen=True)
@@ -101,37 +99,33 @@ def estimate_global_sigma(data, variance_threshold: float = 0.95) -> ScalingEsti
     )
 
 
-def estimate_local_sigmas(data, k: int = 7, *, distances=None) -> ScalingEstimate:
-    """Per-point local sigma: Euclidean distance to the k-th nearest neighbor.
+def estimate_local_sigmas(distances, k: int = 7) -> ScalingEstimate:
+    """Per-point local sigma: Euclidean distance to the k-th nearest neighbor,
+    read from ``distances = pairwise_distances(x)``, which is not modified.
 
     k is clipped to n-1 so small subsets still get a defined scale. Duplicated
     points can yield sigma 0; the affinity construction handles that case.
 
-    ``distances``, when given, must be ``pairwise_distances(data)``; it is
-    read, not modified, and saves computing the matrix again.
-
-    Raises InvalidDataError when a sigma is not finite, which happens when
-    the data's pairwise distances overflow.
+    Raises DimensionError for point data (not square, or a nonzero diagonal)
+    and InvalidDataError when the data's pairwise distances overflow.
     """
     if k < 1:
         raise InvalidParameterError(f"k must be at least 1, got {k}")
-    x = as_matrix(data)
-    n = x.shape[0]
+    dist = np.asarray(distances, dtype=float)
+    if dist.ndim != 2 or dist.shape[0] != dist.shape[1] or np.any(np.diagonal(dist) != 0.0):
+        raise DimensionError(f"distances must be square with a zero diagonal, got {dist.shape}")
+    n = dist.shape[0]
     if n < 2:
         raise InsufficientDataError(
             f"local sigma estimation needs at least 2 rows, got {n}"
         )
     k_eff = min(k, n - 1)
-    dist = pairwise_distances(x) if distances is None else distances
-    if dist.shape != (n, n):
-        raise DimensionError(f"distances must be {n}x{n}, got {dist.shape}")
     # The self-distance 0 is the smallest entry of its row, so order
     # statistic k_eff of the full row is the k_eff-th nearest other point.
-    # Row blocks bound the partition's copy to a slice of the matrix.
-    sigmas = np.empty(n)
-    for start in range(0, n, _PARTITION_ROWS):
-        block = dist[start : start + _PARTITION_ROWS]
-        sigmas[start : start + block.shape[0]] = np.partition(block, k_eff, axis=1)[:, k_eff]
+    # Row by row, the partition's copy is one row. A whole-matrix partition
+    # is a second n x n array beside ``distances``; its freed hole makes the
+    # process's peak RSS depend on heap layout.
+    sigmas = np.array([np.partition(row, k_eff)[k_eff] for row in dist])
     if not np.all(np.isfinite(sigmas)):
         raise InvalidDataError("local sigmas are not finite: pairwise distances overflow")
     return ScalingEstimate(kind="local", local_sigmas=sigmas)

@@ -84,7 +84,7 @@ class TestFusedAffinity:
     @pytest.mark.parametrize("local", [False, True])
     def test_laplacian(self, rng, local):
         x = data_with_duplicates(rng)
-        scaling = estimate_local_sigmas(x) if local else estimate_global_sigma(x)
+        scaling = estimate_local_sigmas(pairwise_distances(x)) if local else estimate_global_sigma(x)
         a = build_affinity(pairwise_distances(x), scaling)
         inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
         expected = a * np.outer(inv_sqrt, inv_sqrt)
@@ -250,7 +250,7 @@ class TestNormalizedLaplacian:
         # averaging; (L + L.T) / 2 == L bit for bit, so nothing changes.
         x = np.vstack([rng.normal(0, 1, (40, 3)), rng.normal(6, 0.1, (30, 3))])
         x[5] = x[4]  # a duplicate point: zero local sigma products
-        scaling = estimate_local_sigmas(x) if local else estimate_global_sigma(x)
+        scaling = estimate_local_sigmas(pairwise_distances(x)) if local else estimate_global_sigma(x)
         lap = normalized_laplacian(build_affinity(pairwise_distances(x), scaling))
         assert np.array_equal(lap, lap.T)
         assert np.array_equal((lap + lap.T) / 2.0, lap)

@@ -110,6 +110,21 @@ class TestLoadDataset:
         with pytest.raises(InvalidDataError, match="no column named"):
             load_dataset(path, label_column="nope")
 
+    # Excel's "CSV UTF-8" export starts the file with a byte-order mark.
+    def test_byte_order_mark_without_header(self, tmp_path):
+        path = write(tmp_path, "\ufeff1,2\n3,4\n")
+        assert load_dataset(path).features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_byte_order_mark_before_label_name(self, tmp_path):
+        path = write(tmp_path, "\ufefflabel,a\ng1,1\ng2,2\n")
+        ds = load_dataset(path, label_column="label")
+        assert ds.label_name == "label"
+        assert ds.labels.tolist() == ["g1", "g2"]
+
+    def test_byte_order_mark_before_feature_name(self, tmp_path):
+        path = write(tmp_path, "\ufeffa,b\n1,2\n")
+        assert load_dataset(path, has_header=True).feature_names == ("a", "b")
+
     def test_benchmark_shaped_table(self, tmp_path):
         # 384 observations, 17 features, 5 distinct labels
         rng = np.random.default_rng(0)

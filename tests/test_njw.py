@@ -137,8 +137,8 @@ class TestNodeSpectrum:
         x = nested_scale_dataset(n_per_group=200, seed=0).features
         n = x.shape[0]
         assert n == 600
-        scaling = estimate_local_sigmas(x) if local else estimate_global_sigma(x)
         d = pairwise_distances(x)
+        scaling = estimate_local_sigmas(d) if local else estimate_global_sigma(x)
         tracemalloc.start()
         try:
             spectrum = node_spectrum(d, scaling)

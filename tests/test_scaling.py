@@ -197,29 +197,29 @@ def local_sigma_oracle(dist, k):
     return sigmas
 
 
+def local_sigmas(data, k):
+    return estimate_local_sigmas(pairwise_distances(data), k).local_sigmas
+
+
 class TestLocalSigmas:
     def test_three_points_line(self):
         # 1-D points [0, 1, 10] with k=7 clipped to k_eff=2: second-nearest
         # distances are 10, 9, 10 (all pairwise distances enumerated by hand).
-        est = estimate_local_sigmas(np.array([[0.0], [1.0], [10.0]]), k=7)
+        est = estimate_local_sigmas(pairwise_distances([[0.0], [1.0], [10.0]]), k=7)
         assert est.kind == "local"
         assert est.local_sigmas == pytest.approx([10.0, 9.0, 10.0])
 
     def test_two_points(self):
-        est = estimate_local_sigmas(np.array([[0.0, 0.0], [3.0, 4.0]]), k=7)
-        assert est.local_sigmas == pytest.approx([5.0, 5.0])
+        assert local_sigmas([[0.0, 0.0], [3.0, 4.0]], 7) == pytest.approx([5.0, 5.0])
 
     def test_duplicates_zero_sigma(self):
-        est = estimate_local_sigmas(np.array([[1.0], [1.0], [9.0]]), k=1)
-        assert est.local_sigmas[0] == 0.0
-        assert est.local_sigmas[1] == 0.0
-        assert est.local_sigmas[2] == 8.0
+        assert local_sigmas([[1.0], [1.0], [9.0]], 1).tolist() == [0.0, 0.0, 8.0]
 
     def test_monotone_in_k(self, rng):
         data = rng.normal(0, 5, (20, 4))
         previous = np.zeros(20)
         for k in range(1, 20):
-            sig = estimate_local_sigmas(data, k).local_sigmas
+            sig = local_sigmas(data, k)
             assert np.all(sig >= previous)
             previous = sig
 
@@ -229,25 +229,25 @@ class TestLocalSigmas:
             m = int(rng.integers(1, 10))
             k = int(rng.integers(1, 9))
             data = rng.normal(0, rng.uniform(0.5, 50), (n, m))
-            est = estimate_local_sigmas(data, k)
+            sig = local_sigmas(data, k)
             k_eff = min(k, n - 1)
             for i in range(n):
                 dists = sorted(
                     np.sqrt(np.sum((data[i] - data[j]) ** 2)) for j in range(n) if j != i
                 )
-                assert est.local_sigmas[i] == dists[k_eff - 1]
+                assert sig[i] == dists[k_eff - 1]
 
     @settings(max_examples=30, deadline=None)
     @given(st.floats(min_value=0.5, max_value=100))
     def test_scale_equivariance(self, factor):
         data = np.array([[0.0, 1.0], [2.0, 3.0], [1.0, -4.0], [5.0, 5.0]])
-        base = estimate_local_sigmas(data, 2).local_sigmas
-        scaled = estimate_local_sigmas(data * factor, 2).local_sigmas
+        base = local_sigmas(data, 2)
+        scaled = local_sigmas(data * factor, 2)
         assert scaled == pytest.approx(base * factor, rel=1e-9)
 
     def test_insufficient_rows(self):
         with pytest.raises(InsufficientDataError):
-            estimate_local_sigmas(np.ones((1, 3)), k=1)
+            local_sigmas(np.ones((1, 3)), 1)
 
     @pytest.mark.parametrize(
         "n, k",
@@ -255,26 +255,27 @@ class TestLocalSigmas:
     )
     def test_matches_delete_sort_oracle(self, rng, n, k):
         # Every third point repeats its predecessor, so rows hold several
-        # zeros; n = 600 spans more than one partition block.
+        # zeros; n = 600 is the size of the benchmark's larger local nodes.
         data = rng.normal(0, 4, (n, 5))
         data[2::3] = data[1::3][: data[2::3].shape[0]]
         dist = pairwise_distances(data)
-        expected = local_sigma_oracle(dist, k)
-        assert np.array_equal(estimate_local_sigmas(data, k).local_sigmas, expected)
         given_dist = dist.copy()
-        est = estimate_local_sigmas(data, k, distances=given_dist)
-        assert np.array_equal(est.local_sigmas, expected)
+        sig = estimate_local_sigmas(given_dist, k).local_sigmas
+        assert np.array_equal(sig, local_sigma_oracle(dist, k))
         assert np.array_equal(given_dist, dist)  # read, not modified
+        # A copy, not a view that would keep an n x n array alive.
+        assert sig.base is None
 
-    def test_distances_shape_checked(self):
-        with pytest.raises(DimensionError):
-            estimate_local_sigmas(np.eye(3), 1, distances=np.zeros((2, 2)))
+    def test_distances_shape_checked(self, rng):
+        # Point data is refused, square or not, rather than read as distances.
+        for bad in (rng.normal(0, 1, (3, 3)), np.eye(3), np.zeros((3, 2)), np.zeros(3)):
+            with pytest.raises(DimensionError):
+                estimate_local_sigmas(bad, 1)
 
     def test_overflowing_distances_are_data_error(self):
         # 1e160 apart: the squared difference, hence the distance, is inf.
-        data = np.array([[0.0], [1e160], [3e160]])
         with pytest.raises(InvalidDataError):
-            estimate_local_sigmas(data, 1)
+            local_sigmas([[0.0], [1e160], [3e160]], 1)
 
 
 def test_manual_sigma_rejects_nonpositive():
