@@ -11,6 +11,9 @@ import numpy as np
 from .errors import DimensionError, InvalidParameterError, IsolatedPointsError
 from .linalg import as_matrix
 
+# Rows per block of normalized_laplacian's scaling.
+_LAPLACIAN_ROWS = 256
+
 
 def _distance_term(distances, distance_exponent: int) -> np.ndarray:
     """Checks, then dist^e in the caller's buffer (squared in place for e=2)."""
@@ -94,4 +97,9 @@ def normalized_laplacian(a) -> np.ndarray:
         isolated = np.nonzero(~np.isfinite(inv_sqrt * inv_sqrt))[0]
     if isolated.size:
         raise IsolatedPointsError(isolated)
-    return np.multiply(m, np.outer(inv_sqrt, inv_sqrt), out=m)
+    # Row blocks of the outer product: the same products, without an n x n
+    # temporary whose freed hole could sit beside the eigensolve's copy.
+    for r0 in range(0, m.shape[0], _LAPLACIAN_ROWS):
+        rows = slice(r0, r0 + _LAPLACIAN_ROWS)
+        np.multiply(m[rows], np.outer(inv_sqrt[rows], inv_sqrt), out=m[rows])
+    return m

@@ -142,8 +142,9 @@ def _nearest_exact(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
-def _nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _nearest(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> np.ndarray:
     """``_nearest_exact`` bit for bit, from one GEMM instead of n*k*d differences.
+    ``x_sq`` holds the rows' |x|^2, which ``kmeans`` computes once per call.
 
     For each row, h_j = |c_j|^2 - 2 x.c_j is |x - c_j|^2 less the row's own
     |x|^2, so it has the same argmin. A row keeps that argmin only when its
@@ -194,7 +195,7 @@ def _nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         lead = h[rows, best]
         h[rows, best] = np.inf
         gap = h.min(axis=1) - lead
-        scale = np.einsum("ij,ij->i", x, x) + cc.max()
+        scale = x_sq + cc.max()
         in_window = (scale >= _SCALE_MIN) & (scale <= _SCALE_MAX)
         slack = np.where(in_window, 8.0 * (d + 3) * _EPS * scale, np.inf)
     redo = np.flatnonzero(~(gap > slack))
@@ -203,13 +204,13 @@ def _nearest(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return best
 
 
-def _lloyd(x: np.ndarray, centroids: np.ndarray) -> KMeansResult:
+def _lloyd(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> KMeansResult:
     history: list[float] = []
     iterations = 0
     converged = False
     while iterations < _MAX_ITER:
         iterations += 1
-        assign = _nearest(x, centroids)
+        assign = _nearest(x, centroids, x_sq)
         history.append(_sse(x, assign, centroids))
         if __debug__ and len(history) >= 2:
             assert history[-1] <= history[-2] * (1 + 1e-12) + 1e-12
@@ -226,7 +227,7 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray) -> KMeansResult:
             converged = True
             break
 
-    assign = _nearest(x, centroids)
+    assign = _nearest(x, centroids, x_sq)
     history.append(_sse(x, assign, centroids))
     counts = np.bincount(assign, minlength=centroids.shape[0])
     keep = np.nonzero(counts > 0)[0]
@@ -262,10 +263,12 @@ def kmeans(data, k: int, seed: int) -> KMeansResult:
 
     rng = np.random.default_rng(seed)
     rows: dict = {}
+    with np.errstate(over="ignore"):  # only sends rows to the exact path
+        x_sq = np.einsum("ij,ij->i", x, x)
     best: KMeansResult | None = None
     for _ in range(_RESTARTS):
         start = int(rng.integers(n))
-        result = _lloyd(x, x[_farthest_points(x, k, start, rows)].copy())
+        result = _lloyd(x, x[_farthest_points(x, k, start, rows)].copy(), x_sq)
         if best is None or result.sse < best.sse:
             best = result
     return best

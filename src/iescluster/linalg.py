@@ -24,6 +24,15 @@ largest-magnitude entry positive. Two functions build one:
 The global scale σ² needs the covariance eigenvalues and nothing else:
 ``covariance_eigenvalues`` takes them with ``eigvalsh`` on the smaller of
 the m x m covariance and the n x n Gram matrix of the centered rows.
+
+Distance matrices come in two forms. ``pairwise_distances`` is exact: a
+row-by-row difference loop whose every entry equals the per-pair formula
+bit for bit, which an order statistic such as the local scale needs.
+``gram_distances`` takes the centered rows' products from BLAS instead,
+within a proven bound, and falls back to the difference form, with its
+bits, wherever that bound cannot vouch for an entry; it serves the global
+scale, whose distances only enter exp(-d^2 / 2 sigma^2). The exact form is
+its oracle in the tests.
 """
 
 from __future__ import annotations
@@ -42,6 +51,17 @@ from .errors import (
 
 # Relative symmetry defect tolerated before refusing to decompose.
 SYMMETRY_RTOL = 1e-10
+
+# gram_distances recomputes, in the difference form, every entry whose Gram
+# form r is at most this share of its pair's scale, or whose scale lies
+# above the ceiling; below the floor the scale counts as the floor.
+_GRAM_TAU = 2.0**-20
+_GRAM_SCALE_MIN = np.finfo(float).tiny / np.finfo(float).eps
+_GRAM_SCALE_MAX = np.finfo(float).max / 4
+# Rows per block of gram_distances, which bounds its temporaries. At n = 1200
+# these 2.5 MB add about 1 MB to peak RSS; 64 or 128 rows added nothing at
+# most checkout paths but one more n x n at some (glibc heap placement).
+_GRAM_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -235,4 +255,76 @@ def pairwise_distances(data) -> np.ndarray:
             row = np.sqrt(np.sum(rest, axis=1), out=out[i, i + 1 :])
             out[i + 1 :, i] = row
     np.fill_diagonal(out, 0.0)
+    return out
+
+
+def gram_distances(data) -> np.ndarray:
+    """Euclidean distance matrix from one matrix product of the centered rows,
+    with ``pairwise_distances``'s bits wherever that product cannot be trusted.
+
+    With c = fl(x - mean) and s_i = |c_i|^2, each entry is first formed as
+    r = (s_i + s_j) - 2 c_i.c_j, the dot products from one GEMM per block of
+    ``_GRAM_ROWS`` rows over the upper triangle, so no temporary exceeds that
+    many rows of n. Let S = s_i + s_j and M = max(S, tiny/eps).
+
+    Bound. Let u = eps/2, g_m = m u / (1 - m u) and d the exact distance of
+    the input rows. Centering rounds each c_ik to within a relative u of
+    x_ik - mean_k, whatever the mean's own error, so |c_i - c_j|^2 is within
+    (2u + u^2) (|c_i| + |c_j|)^2 <= 2 eps S (1 + O(eps)) of d^2. In any
+    summation order (BLAS or einsum, with or without FMA) s_i errs by at most
+    g_m s_i and c_i.c_j by at most g_m |c_i| |c_j| <= g_m S / 2; scaling by
+    -2 is exact and the two additions add u S (1 + g_m) and u |r|, with
+    |r| <= 2 S (1 + 2 g_m). So r is within (2 g_m + 3u) S (1 + O(eps)) of
+    |c_i - c_j|^2, and in all |r - d^2| <= (m + 4) eps M for m < 2^20.
+    Products that underflow add at most 2^-1075 each, about 4m in all,
+    which the spare eps M / 2 >= tiny / 2 covers. For S <= max/4 no
+    intermediate exceeds 2 S, so nothing overflows.
+
+    Fallback. An entry whose S is above max/4 (the only way r can overflow)
+    or whose r is not above ``_GRAM_TAU`` * M (a NaN is not) is recomputed
+    in the difference form of ``pairwise_distances``, one row at a time over
+    its flagged columns, and so equals that function's entry bit for bit.
+    That covers every pair of duplicate rows (r <= (m + 4) eps M < tau M,
+    so they read exactly 0) and every entry that overflows there (which
+    needs S > max/4). Every other entry is sqrt(r), whose square is within
+    (m + 4) eps M + eps r of d^2: a relative error of about (m + 4) 2^-32
+    at most, with tau = 2^-20.
+
+    Only the upper triangle is formed; the zero diagonal and the lower
+    triangle are mirrored from it, so the matrix is exactly symmetric
+    whatever the GEMM's layout. Centering keeps the bound in terms of the
+    rows' spread about their mean, so an offset shared by every row (the
+    1e8 of a coordinate system) costs no accuracy.
+    """
+    x = as_matrix(data)
+    n = x.shape[0]
+    out = np.empty((n, n))
+    # inf and NaN in the Gram form only flag entries; the difference form
+    # overflows quietly, as in pairwise_distances.
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = x - x.mean(axis=0)
+        sq = np.einsum("ij,ij->i", c, c)
+        for r0 in range(0, n, _GRAM_ROWS):
+            r1 = min(r0 + _GRAM_ROWS, n)
+            b = r1 - r0
+            r = out[r0:r1, r0:]
+            np.matmul(c[r0:r1], c[r0:].T, out=r)
+            scale = np.add.outer(sq[r0:r1], sq[r0:])
+            r *= -2.0
+            r += scale
+            redo = ~(scale <= _GRAM_SCALE_MAX)
+            np.maximum(scale, _GRAM_SCALE_MIN, out=scale)
+            scale *= _GRAM_TAU
+            redo |= ~(r > scale)
+            # Only the strict upper triangle is kept.
+            redo[:, :b] &= ~np.tri(b, dtype=bool)
+            for row in np.flatnonzero(redo.any(axis=1)):
+                cols = r0 + np.flatnonzero(redo[row])
+                diff = x[cols] - x[r0 + row]
+                np.multiply(diff, diff, out=diff)
+                r[row, cols - r0] = np.sum(diff, axis=1)
+            upper = np.triu(r[:, :b], 1)
+            np.add(upper, upper.T, out=r[:, :b])
+            np.sqrt(r, out=r)
+            out[r1:, r0:r1] = r[:, b:].T
     return out

@@ -1,5 +1,11 @@
 """Spectral clustering pipeline: distances -> affinity -> normalized Laplacian,
-in one buffer -> row-normalized top-k eigenvectors -> k-means on them."""
+in one buffer -> row-normalized top-k eigenvectors -> k-means on them.
+
+``node_distances`` picks the distance form by scaling kind: a local scale
+reads an exact order statistic from the matrix, so it gets the exact
+``pairwise_distances``; a global scale reaches the distances only through
+exp(-d^2 / 2 sigma^2), so it gets ``gram_distances``, one BLAS product with
+a proven bound and the exact form as its fallback."""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ import numpy as np
 from .affinity import affinity_global, affinity_local, normalized_laplacian
 from .errors import DegenerateEmbeddingError, InvalidParameterError
 from .kmeans import kmeans
-from .linalg import Spectrum, pairwise_distances, top_spectrum
+from .linalg import Spectrum, gram_distances, pairwise_distances, top_spectrum
 from .scaling import ScalingEstimate
 
 # Row norms this far below the largest row are treated as numerically zero.
@@ -17,12 +23,23 @@ _ZERO_ROW_RTOL = 1e-12
 _ROWS_SHOWN = 5
 
 
+def node_distances(data, kind: str) -> np.ndarray:
+    """The distance matrix a node's spectral chain starts from:
+    ``pairwise_distances`` for a "local" scale, ``gram_distances`` for a
+    "global" one (see the module docstring)."""
+    if kind == "global":
+        return gram_distances(data)
+    if kind == "local":
+        return pairwise_distances(data)
+    raise InvalidParameterError(f"unknown scaling kind {kind!r}")
+
+
 def build_affinity(
     distances, scaling: ScalingEstimate, distance_exponent: int = 2
 ) -> np.ndarray:
     """Affinity matrix for either scaling kind, built in place in
-    ``distances = pairwise_distances(x)`` (see ``affinity_global`` and
-    ``affinity_local``)."""
+    ``distances = node_distances(x, scaling.kind)`` (see ``affinity_global``
+    and ``affinity_local``)."""
     if scaling.kind == "global":
         return affinity_global(distances, scaling.sigma_sq, distance_exponent)
     if scaling.kind == "local":
@@ -49,8 +66,9 @@ def node_spectrum(
     distances, scaling: ScalingEstimate, distance_exponent: int = 2
 ) -> Spectrum:
     """The one spectral chain, behind the IES node step, NJW and the elbow
-    sweep: ``distances = pairwise_distances(x)`` becomes the affinity and
-    then the normalized Laplacian in place, the spectrum's ``matrix``.
+    sweep: ``distances = node_distances(x, scaling.kind)`` becomes the
+    affinity and then the normalized Laplacian in place, the spectrum's
+    ``matrix``.
 
     It returns every eigenvalue; the top eigenvectors come from the result's
     ``top(k)`` (see ``top_spectrum``). Isolated-point errors propagate.
@@ -77,6 +95,6 @@ def njw_cluster(
     Isolated-point and degenerate-embedding errors propagate to the caller.
     """
     embedding = row_normalize(
-        node_spectrum(pairwise_distances(data), scaling, distance_exponent).top(k)
+        node_spectrum(node_distances(data, scaling.kind), scaling, distance_exponent).top(k)
     )
     return kmeans(embedding, k, seed).assignments

@@ -210,6 +210,15 @@ class TestAffinityLocal:
 
 
 class TestNormalizedLaplacian:
+    def test_row_blocks_match_outer_product(self, rng):
+        # 600 rows span three blocks; each entry is a_ij * (s_i * s_j), as
+        # with the whole outer product, bit for bit.
+        x = rng.normal(0, 1, (600, 3))
+        a = build_affinity(pairwise_distances(x), estimate_global_sigma(x))
+        inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+        expected = a * np.outer(inv_sqrt, inv_sqrt)
+        assert np.array_equal(normalized_laplacian(a), expected)
+
     def test_two_point_hand_case(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         lap = normalized_laplacian(a.copy())

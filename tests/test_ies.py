@@ -303,20 +303,26 @@ class TestSingleRoundModes:
 
 @pytest.fixture
 def distance_calls(monkeypatch):
-    """Count pairwise_distances calls under every name the package binds it
-    to, so no module can reach the unwrapped function."""
+    """Count calls of both distance functions, pairwise_distances and
+    gram_distances, under every name the package binds them to, so no
+    module can reach an unwrapped one."""
     calls = []
-    original = linalg.pairwise_distances
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(original):
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
 
+        return counted
+
+    wrappers = {
+        id(f): counting(f) for f in (linalg.pairwise_distances, linalg.gram_distances)
+    }
     for name, module in list(sys.modules.items()):
         if name == "iescluster" or name.startswith("iescluster."):
             for attr, value in list(vars(module).items()):
-                if value is original:
-                    monkeypatch.setattr(module, attr, counted)
+                if id(value) in wrappers:
+                    monkeypatch.setattr(module, attr, wrappers[id(value)])
     return calls
 
 
@@ -485,3 +491,50 @@ def tied_inside_top_k(values):
     k = eigengap_k(values, IesConfig().search_fraction).k
     tol = values.size * np.finfo(float).eps * np.max(np.abs(values))
     return bool(np.any(values[: k - 1] - values[1:k] <= tol))
+
+
+def global_results(data):
+    """The global-scale callers' results on ``data``: every node of the
+    ies-global, legacy and NJW trees, σ² included, and the raw-space elbow
+    curve, which depends on the per-k partitions alone; then the embedding
+    elbow curve."""
+    trees = [
+        ies_cluster(data, "global", master_seed=0),
+        legacy_eigengap_cluster(data, master_seed=0),
+        njw_outcome(data, 3, master_seed=0),
+    ]
+    nodes = [
+        [(n.id, n.depth, n.estimated_k, n.leaf_reason, n.children,
+          n.member_indices.tolist(), n.sigma and (n.sigma.kind, n.sigma.sigma_sq))
+         for n in tree.nodes]
+        for tree in trees
+    ]
+    scaling = estimate_global_sigma(data)
+    raw = elbow_sweep(data, (1, 6), scaling, seed=0, space="raw")
+    return (nodes, raw), elbow_sweep(data, (1, 6), scaling, seed=0)
+
+
+class TestGramOracle:
+    """Global-scale trees and elbow curves on the Gram distances against
+    those built with the exact ``pairwise_distances`` in their place."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: separated_blobs((25, 25, 25), seed=4)[0],
+            lambda: separated_blobs([60] * 3, separation=10.0, spread=1.0, dims=3, seed=1)[0],
+            lambda: nested_scale_dataset(n_per_group=60, seed=5).features,
+            lambda: nested_scale_dataset(n_per_group=40, dims=20, seed=2).features + 1e8,
+        ],
+        ids=["blobs", "close-blobs", "nested", "nested-offset"],
+    )
+    def test_global_callers_match_exact_distances(self, make):
+        data = make()
+        shipped = global_results(data)
+        with mock.patch.object(njw_module, "gram_distances", linalg.pairwise_distances):
+            reference = global_results(data)
+        assert shipped[0] == reference[0]
+        # Embedding SSEs are sums over an embedding that moves with the
+        # distances' last bits; the partitions behind them are equal above.
+        assert [k for k, _ in shipped[1]] == [k for k, _ in reference[1]]
+        assert [v for _, v in shipped[1]] == pytest.approx([v for _, v in reference[1]], rel=1e-9)

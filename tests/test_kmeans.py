@@ -25,6 +25,16 @@ from iescluster.synth import augment_with_noise, nested_scale_dataset
 kmeans_module = import_module("iescluster.kmeans")
 
 
+def row_sq(x):
+    """|x|^2 of every row, the third argument of ``_lloyd`` and ``_nearest``."""
+    return np.einsum("ij,ij->i", x, x)
+
+
+def nearest(x, c):
+    """``_nearest`` with the row norms it is given inside ``kmeans``."""
+    return _nearest(x, c, row_sq(x))
+
+
 def exhaustive_optimum(data, k):
     """Minimum SSE over every assignment into at most k clusters, centroids
     at cluster means. Exponential; for tiny n only."""
@@ -137,8 +147,8 @@ class TestKMeans:
         data = rng.normal(0, 1, (20, 3))
         init = data[_farthest_points(data, 3, 0, {})].copy()
         perm = rng.permutation(20)
-        r1 = _lloyd(data, init)
-        r2 = _lloyd(data[perm], init)
+        r1 = _lloyd(data, init, row_sq(data))
+        r2 = _lloyd(data[perm], init, row_sq(data[perm]))
         assert np.array_equal(r1.assignments[perm], r2.assignments)
 
     def test_matches_exhaustive_often(self, rng):
@@ -198,7 +208,7 @@ class TestCertifiedNearest:
                 c[j] = c[rng.integers(0, j)]
         x, c = np.ldexp(x, s), np.ldexp(c, s)
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            got = _nearest(x, c)
+            got = nearest(x, c)
             want = _nearest_exact(x, c)
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
@@ -213,7 +223,7 @@ class TestCertifiedNearest:
         x = np.array([[0.5 + 2.0**-50], [0.1]])
         c = np.array([[0.0], [1.0]])
         calls = count_exact_rows(monkeypatch)
-        assert _nearest(x, c).tolist() == [1, 0]
+        assert nearest(x, c).tolist() == [1, 0]
         assert len(calls) == 1
         assert np.array_equal(calls[0], x[:1])
 
@@ -221,7 +231,7 @@ class TestCertifiedNearest:
         x = rng.normal(0.0, 1.0, (50, 3))
         c = np.array([[10.0, 0, 0], [-10.0, 0, 0]])
         calls = count_exact_rows(monkeypatch)
-        assert np.array_equal(_nearest(x, c), _nearest_exact(x, c))
+        assert np.array_equal(nearest(x, c), _nearest_exact(x, c))
         assert calls == []
 
     @pytest.mark.parametrize(
@@ -239,7 +249,7 @@ class TestCertifiedNearest:
     def test_scales_outside_window_take_exact_path(self, monkeypatch, x, c):
         calls = count_exact_rows(monkeypatch)
         with np.errstate(over="ignore"):
-            assert _nearest(x, c).tolist() == [0]
+            assert nearest(x, c).tolist() == [0]
         assert len(calls) == 1
 
     def test_nan_gap_takes_exact_path(self):
@@ -250,7 +260,7 @@ class TestCertifiedNearest:
         with np.errstate(over="ignore"):
             want = _nearest_exact(x, c)
             assert want.tolist() == [1]
-            assert _nearest(x, c).tolist() == [1]
+            assert nearest(x, c).tolist() == [1]
 
     @pytest.mark.parametrize(
         "make, k",
@@ -266,7 +276,7 @@ class TestCertifiedNearest:
     def test_kmeans_matches_exact_assignment_step(self, monkeypatch, make, k):
         data = make(np.random.default_rng(k))
         fast = kmeans(data, k, seed=3)
-        monkeypatch.setattr(kmeans_module, "_nearest", _nearest_exact)
+        monkeypatch.setattr(kmeans_module, "_nearest", lambda x, c, _: _nearest_exact(x, c))
         exact = kmeans(data, k, seed=3)
         assert np.array_equal(fast.assignments, exact.assignments)
         assert np.array_equal(fast.centroids, exact.centroids)
@@ -468,6 +478,6 @@ class TestNearestLayouts:
         x, c = np.ldexp(x, s), np.ldexp(c, s)
         with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", under="ignore"):
             mp.setattr(kmeans_module, "_BY_CENTROID_K", k if by_centroid else k - 1)
-            got = _nearest(x, c)
+            got = nearest(x, c)
             want = _nearest_exact(x, c)
         assert np.array_equal(got, want)

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -577,3 +578,106 @@ class TestPairwiseDistances:
             [[np.sqrt(np.sum((x[i] - x[j]) ** 2)) for j in range(n)] for i in range(n)]
         )
         assert np.array_equal(d, oracle)
+
+
+EPS = np.finfo(float).eps
+TINY = np.finfo(float).tiny
+BIG = np.finfo(float).max
+
+
+def exact_sq_norm(v) -> Fraction:
+    return sum(Fraction(p) ** 2 for p in v.tolist())
+
+
+def exact_sq_distance(a, b) -> Fraction:
+    return sum((Fraction(p) - Fraction(q)) ** 2 for p, q in zip(a.tolist(), b.tolist()))
+
+
+class TestGramDistances:
+    """``gram_distances`` against its oracle ``pairwise_distances``: the
+    documented bound on every entry, and the oracle's bits wherever the Gram
+    form flags an entry (near or exact duplicates, overflow)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 24),
+        st.integers(1, 12),
+        st.booleans(),
+        st.sampled_from([0.0, 1e8, -3.5e7]),
+        st.integers(-520, 520) | st.sampled_from([-500, 500, 512, 520]),
+        st.sampled_from([1, 3, 256]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_difference_form_within_bound(self, n, m, grid, offset, s, rows, seed):
+        rng = np.random.default_rng(seed)
+        # Small integers give exact duplicates and near-cancelling pairs.
+        x = rng.integers(-2, 3, (n, m)).astype(float) if grid else rng.normal(0.0, 1.0, (n, m))
+        for i in range(1, n):
+            if rng.random() < 0.2:
+                x[i] = x[rng.integers(0, i)]
+        x = np.ldexp(x + offset * rng.random(m), s)
+        with mock.patch.object(linalg, "_GRAM_ROWS", rows), np.errstate(over="ignore"):
+            got = linalg.gram_distances(x)
+            want = pairwise_distances(x)
+        assert np.array_equal(got, got.T)
+        assert np.all(np.diag(got) == 0) and not np.any(np.signbit(np.diag(got)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = x - x.mean(axis=0)
+        tau = Fraction(linalg._GRAM_TAU)
+        for i in range(n):
+            for j in range(i + 1, n):
+                if np.isinf(want[i, j]):
+                    assert got[i, j] == np.inf
+                    continue
+                d2 = exact_sq_distance(x[i], x[j])
+                scale = exact_sq_norm(c[i]) + exact_sq_norm(c[j])
+                floor = max(scale, Fraction(TINY / EPS))
+                if d2 <= tau / 2 * floor or scale > Fraction(BIG) / 2:
+                    # Flagged whatever the rounding: the oracle's bits.
+                    assert got[i, j] == want[i, j]
+                    continue
+                g2 = Fraction(float(got[i, j])) ** 2
+                assert abs(g2 - d2) <= (m + 4) * Fraction(EPS) * floor + Fraction(EPS) * g2
+
+    def test_duplicates_zero_and_blocks_symmetric(self, rng):
+        # Several row blocks; rows 1 and n-1 repeat row 0 and row 2 sits 1e-9
+        # from it, so those pairs are flagged across and within blocks.
+        n, m = 700, 200
+        x = rng.normal(0, 3, (n, m)) + 1e8
+        x[1] = x[n - 1] = x[0]
+        x[2] = x[0] + 1e-9 * rng.normal(0, 1, m)
+        got = linalg.gram_distances(x)
+        want = pairwise_distances(x)
+        assert np.array_equal(got, got.T)
+        assert np.all(np.diag(got) == 0)
+        for i, j in [(0, 1), (0, n - 1), (1, n - 1), (0, 2), (2, n - 1)]:
+            assert got[i, j] == want[i, j]
+        assert got[0, 1] == got[0, n - 1] == 0.0
+        c = x - x.mean(axis=0)
+        sq = np.einsum("ij,ij->i", c, c)
+        floor = np.maximum(np.add.outer(sq, sq), TINY / EPS)
+        # The Gram bound, plus the oracle's own rounding, both with room.
+        tol = 2 * (m + 4) * EPS * floor + 2 * (m + 4) * EPS * want**2
+        assert np.all(np.abs(got**2 - want**2) <= tol)
+
+    def test_overflow_matches_difference_form(self):
+        # Differences of 2^520 overflow when squared: the oracle's inf.
+        x = np.ldexp(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), 520)
+        with np.errstate(over="ignore"):
+            got = linalg.gram_distances(x)
+        assert np.array_equal(got, pairwise_distances(x))
+        assert np.isinf(got[0, 1])
+
+    def test_scale_above_ceiling_takes_difference_form(self):
+        # A distance just below sqrt(max): the difference form stays finite,
+        # while the Gram form's last addition rounds up past max to inf. Only
+        # the ceiling on the scale (here above max/4) sends it to the oracle.
+        x = np.array([
+            [-3.811481103628084e153, -4.511486134506015e153, 5.744199896243175e152],
+            [4.716582968177838e153, 5.579806265239968e153, -1.707520933413254e153],
+        ])
+        with np.errstate(over="ignore"):
+            got = linalg.gram_distances(x)
+            want = pairwise_distances(x)
+        assert np.isfinite(want[0, 1])
+        assert np.array_equal(got, want)

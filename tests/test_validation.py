@@ -10,8 +10,7 @@ from conftest import separated_blobs
 from iescluster.affinity import normalized_laplacian
 from iescluster.errors import DimensionError, InvalidParameterError
 from iescluster.kmeans import kmeans
-from iescluster.linalg import pairwise_distances
-from iescluster.njw import build_affinity, spectral_embed
+from iescluster.njw import build_affinity, node_distances, spectral_embed
 from iescluster.scaling import estimate_global_sigma
 from iescluster.validation import (
     AssociationMatrix,
@@ -265,7 +264,7 @@ class TestElbowSweep:
     def test_single_k_equals_njw_chain(self, k):
         data, _ = separated_blobs((10, 12, 9), separation=20.0, spread=2.0, seed=4)
         scaling = estimate_global_sigma(data)
-        lap = normalized_laplacian(build_affinity(pairwise_distances(data), scaling))
+        lap = normalized_laplacian(build_affinity(node_distances(data, scaling.kind), scaling))
         embedding = spectral_embed(lap, k)
         expected = kmeans(embedding, k, 7).sse
         assert elbow_sweep(data, (k, k), scaling, 7) == [(k, expected)]
