@@ -1,6 +1,7 @@
 """Gaussian affinity matrices and the symmetric normalized Laplacian, each
-built in its input's buffer: the affinities overwrite ``pairwise_distances(x)``
-and ``normalized_laplacian`` scales a float64 affinity in place."""
+built in its input's buffer: the affinities overwrite a node's distance
+matrix (``gram_distances(x)``, or the exact ``pairwise_distances(x)``) and
+``normalized_laplacian`` scales a float64 affinity in place."""
 
 from __future__ import annotations
 
@@ -11,8 +12,8 @@ import numpy as np
 from .errors import DimensionError, InvalidParameterError, IsolatedPointsError
 from .linalg import as_matrix
 
-# Rows per block of normalized_laplacian's scaling.
-_LAPLACIAN_ROWS = 256
+# Rows per block of affinity_local's and normalized_laplacian's scaling.
+_BLOCK_ROWS = 256
 
 
 def _distance_term(distances, distance_exponent: int) -> np.ndarray:
@@ -31,7 +32,7 @@ def _distance_term(distances, distance_exponent: int) -> np.ndarray:
 
 def affinity_global(distances, sigma_sq: float, distance_exponent: int = 2) -> np.ndarray:
     """Affinity A_ij = exp(-dist_ij^e / (2 sigma_sq)), zero diagonal, from
-    ``distances = pairwise_distances(x)``, which it overwrites and returns.
+    a distance matrix, which it overwrites and returns.
 
     The exponent e defaults to squared Euclidean distance; e=1 keeps the
     plain norm for comparison runs. sigma_sq must be finite and positive.
@@ -50,7 +51,7 @@ def affinity_global(distances, sigma_sq: float, distance_exponent: int = 2) -> n
 
 def affinity_local(distances, local_sigmas, distance_exponent: int = 2) -> np.ndarray:
     """Affinity A_ij = exp(-dist_ij^e / (sigma_i sigma_j)), zero diagonal, from
-    ``distances = pairwise_distances(x)``, which it overwrites and returns.
+    a distance matrix, which it overwrites and returns.
 
     Pairs with sigma_i * sigma_j == 0 (duplicate points) get affinity 1 when
     coincident and 0 otherwise, the limit of the expression as the scale
@@ -64,17 +65,21 @@ def affinity_local(distances, local_sigmas, distance_exponent: int = 2) -> np.nd
     if np.any(sig < 0):
         raise InvalidParameterError("local sigmas must be nonnegative")
     a = _distance_term(distances, distance_exponent)
-    neg_denom = np.multiply.outer(-sig, sig)
-    zero = neg_denom == 0.0
-    limit = None
-    if zero.any():
-        # The limit depends on the distance, so read it before the overwrite.
-        limit = np.where(a[zero] == 0.0, 1.0, 0.0)
-        neg_denom[zero] = -1.0
-    np.divide(a, neg_denom, out=a)
-    np.exp(a, out=a)
-    if limit is not None:
-        a[zero] = limit
+    # Row blocks of the outer product, as in normalized_laplacian: the same
+    # quotients, without an n x n product and an n x n mask.
+    for r0 in range(0, a.shape[0], _BLOCK_ROWS):
+        block = a[r0 : r0 + _BLOCK_ROWS]
+        neg_denom = np.multiply.outer(-sig[r0 : r0 + _BLOCK_ROWS], sig)
+        zero = neg_denom == 0.0
+        limit = None
+        if zero.any():
+            # The limit depends on the distance, so read it before the overwrite.
+            limit = np.where(block[zero] == 0.0, 1.0, 0.0)
+            neg_denom[zero] = -1.0
+        np.divide(block, neg_denom, out=block)
+        np.exp(block, out=block)
+        if limit is not None:
+            block[zero] = limit
     np.fill_diagonal(a, 0.0)
     return a
 
@@ -99,7 +104,7 @@ def normalized_laplacian(a) -> np.ndarray:
         raise IsolatedPointsError(isolated)
     # Row blocks of the outer product: the same products, without an n x n
     # temporary whose freed hole could sit beside the eigensolve's copy.
-    for r0 in range(0, m.shape[0], _LAPLACIAN_ROWS):
-        rows = slice(r0, r0 + _LAPLACIAN_ROWS)
+    for r0 in range(0, m.shape[0], _BLOCK_ROWS):
+        rows = slice(r0, r0 + _BLOCK_ROWS)
         np.multiply(m[rows], np.outer(inv_sqrt[rows], inv_sqrt), out=m[rows])
     return m

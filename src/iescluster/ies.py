@@ -30,8 +30,8 @@ from .errors import (
     IsolatedPointsError,
 )
 from .kmeans import kmeans
-from .linalg import Spectrum, as_matrix
-from .njw import node_distances, node_spectrum, row_normalize
+from .linalg import Spectrum, as_matrix, gram_distances
+from .njw import node_spectrum, row_normalize
 from .scaling import ScalingEstimate, estimate_global_sigma, estimate_local_sigmas
 
 LEAF_EIGENGAP_ONE = "eigengap-one"
@@ -178,8 +178,8 @@ def _node_step(
 ) -> _NodeStep:
     """Scale, spectrum, eigengap and split for one set of member points.
 
-    The node computes one distance matrix, in the form its mode takes (see
-    ``node_distances``): a local scale is read from it, and
+    The node computes one distance matrix, ``gram_distances``: a local
+    scale is read from it and certified against the points, and
     ``node_spectrum`` turns it into the Laplacian in place. ``sigma``, when
     given, replaces the node's own scale estimate. Child member arrays of
     the returned step are root indices.
@@ -187,13 +187,13 @@ def _node_step(
     sub = data[members]
     if np.all(sub == sub[0]):
         return _NodeStep(leaf_reason=LEAF_DEGENERATE)
-    distances = node_distances(sub, mode)
+    distances = gram_distances(sub)
     if sigma is None:
         try:
             if mode == "global":
                 sigma = estimate_global_sigma(sub, config.variance_threshold)
             else:
-                sigma = estimate_local_sigmas(distances, config.knn_k)
+                sigma = estimate_local_sigmas(sub, distances, config.knn_k)
         except DegenerateDataError:
             return _NodeStep(leaf_reason=LEAF_DEGENERATE)
     try:
@@ -285,9 +285,8 @@ def ies_cluster(
     (k-nearest-neighbor). ``n_workers`` is accepted and ignored: every node
     runs on the calling thread. It stays because the benchmark's threaded
     operation still passes it. A thread pool over the nodes of a level won
-    on no benchmark workload, because the eigensolve already keeps every
-    core busy in BLAS (so does the Gram distance product of a global node;
-    the difference loop of a local node is numpy on one thread), and it was
+    on no benchmark workload, because the eigensolve and every node's Gram
+    distance product already keep every core busy in BLAS, and it was
     the slowest path on 200-feature data. Each node's seed derives from its
     path, so no result depends on the traversal order, and nodes are created
     depth-first in their final numbering.

@@ -25,14 +25,15 @@ The global scale σ² needs the covariance eigenvalues and nothing else:
 ``covariance_eigenvalues`` takes them with ``eigvalsh`` on the smaller of
 the m x m covariance and the n x n Gram matrix of the centered rows.
 
-Distance matrices come in two forms. ``pairwise_distances`` is exact: a
-row-by-row difference loop whose every entry equals the per-pair formula
-bit for bit, which an order statistic such as the local scale needs.
-``gram_distances`` takes the centered rows' products from BLAS instead,
-within a proven bound, and falls back to the difference form, with its
-bits, wherever that bound cannot vouch for an entry; it serves the global
-scale, whose distances only enter exp(-d^2 / 2 sigma^2). The exact form is
-its oracle in the tests.
+Every spectral node takes its distance matrix from ``gram_distances``: the
+centered rows' products from BLAS, within a proven bound, with the
+difference form's bits wherever that bound cannot vouch for an entry.
+``pairwise_distances`` is the exact form, a row-by-row difference loop
+whose every entry equals the per-pair formula bit for bit; it is the oracle
+in the tests. ``pair_squared_distances`` is its kernel for listed pairs:
+the entries ``gram_distances`` flags, and the candidates through which
+``scaling.estimate_local_sigmas`` certifies the k-th neighbour's distance,
+an order statistic that must keep the exact form's bits.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ _GRAM_SCALE_MAX = np.finfo(float).max / 4
 # these 2.5 MB add about 1 MB to peak RSS; 64 or 128 rows added nothing at
 # most checkout paths but one more n x n at some (glibc heap placement).
 _GRAM_ROWS = 256
+# Differences per gather of pair_squared_distances (1 MB of float64).
+_PAIR_ELEMENTS = 2**17
 
 
 @dataclass(frozen=True)
@@ -258,6 +261,27 @@ def pairwise_distances(data) -> np.ndarray:
     return out
 
 
+def pair_squared_distances(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``pairwise_distances``'s entry (i, j) before its sqrt, bit for bit, for
+    each listed pair (i, j) = (rows[p], cols[p]) of the rows of ``x``.
+
+    Each pair takes the difference form ``x[j] - x[i]``, squared and summed
+    along the row, as that function does; for j < i it formed
+    ``x[i] - x[j]``, whose negation squares to the same bits. The pairs are
+    gathered ``_PAIR_ELEMENTS`` differences at a time, so no temporary
+    grows with their count. Overflow gives inf quietly.
+    """
+    out = np.empty(rows.shape[0])
+    step = max(1, _PAIR_ELEMENTS // x.shape[1])
+    with np.errstate(over="ignore"):
+        for p0 in range(0, out.shape[0], step):
+            diff = x[cols[p0 : p0 + step]]
+            diff -= x[rows[p0 : p0 + step]]
+            np.multiply(diff, diff, out=diff)
+            out[p0 : p0 + step] = np.sum(diff, axis=1)
+    return out
+
+
 def gram_distances(data) -> np.ndarray:
     """Euclidean distance matrix from one matrix product of the centered rows,
     with ``pairwise_distances``'s bits wherever that product cannot be trusted.
@@ -282,8 +306,8 @@ def gram_distances(data) -> np.ndarray:
 
     Fallback. An entry whose S is above max/4 (the only way r can overflow)
     or whose r is not above ``_GRAM_TAU`` * M (a NaN is not) is recomputed
-    in the difference form of ``pairwise_distances``, one row at a time over
-    its flagged columns, and so equals that function's entry bit for bit.
+    in the difference form by ``pair_squared_distances``, and so equals
+    ``pairwise_distances``' entry bit for bit.
     That covers every pair of duplicate rows (r <= (m + 4) eps M < tau M,
     so they read exactly 0) and every entry that overflows there (which
     needs S > max/4). Every other entry is sqrt(r), whose square is within
@@ -318,11 +342,8 @@ def gram_distances(data) -> np.ndarray:
             redo |= ~(r > scale)
             # Only the strict upper triangle is kept.
             redo[:, :b] &= ~np.tri(b, dtype=bool)
-            for row in np.flatnonzero(redo.any(axis=1)):
-                cols = r0 + np.flatnonzero(redo[row])
-                diff = x[cols] - x[r0 + row]
-                np.multiply(diff, diff, out=diff)
-                r[row, cols - r0] = np.sum(diff, axis=1)
+            rows, cols = np.divmod(np.flatnonzero(redo), n - r0)
+            r[rows, cols] = pair_squared_distances(x, rows + r0, cols + r0)
             upper = np.triu(r[:, :b], 1)
             np.add(upper, upper.T, out=r[:, :b])
             np.sqrt(r, out=r)

@@ -15,8 +15,8 @@ import numpy as np
 from .errors import DimensionError, InvalidParameterError
 from .kmeans import cluster_means, kmeans
 from .kmeans import sse as sse_of
-from .linalg import as_matrix
-from .njw import node_distances, node_spectrum, row_normalize
+from .linalg import as_matrix, gram_distances
+from .njw import node_spectrum, row_normalize
 from .scaling import ScalingEstimate
 
 
@@ -191,9 +191,7 @@ def elbow_sweep(
         )
     if space not in ("embedding", "raw"):
         raise InvalidParameterError(f"space must be 'embedding' or 'raw', got {space!r}")
-    vectors = node_spectrum(
-        node_distances(x, scaling.kind), scaling, distance_exponent
-    ).top(k_max, k_min)
+    vectors = node_spectrum(gram_distances(x), scaling, distance_exponent).top(k_max, k_min)
     curve = []
     for k in range(k_min, k_max + 1):
         embedding = row_normalize(vectors[:, :k])

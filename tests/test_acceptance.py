@@ -21,7 +21,7 @@ from iescluster.dataset import load_dataset
 from iescluster.eigengap import eigengap_k
 from iescluster.ies import els_cluster, ies_cluster, legacy_eigengap_cluster
 from iescluster.kmeans import kmeans
-from iescluster.linalg import pairwise_distances, symmetric_eigen
+from iescluster.linalg import gram_distances, symmetric_eigen
 from iescluster.njw import njw_cluster
 from iescluster.scaling import (
     estimate_global_sigma,
@@ -182,7 +182,7 @@ def test_criterion_4_scaling_estimates_match_oracles():
         m = int(rng.integers(1, 8))
         k = int(rng.integers(1, 10))
         data = rng.normal(0, rng.uniform(0.5, 30), (n, m))
-        est = estimate_local_sigmas(pairwise_distances(data), k)
+        est = estimate_local_sigmas(data, gram_distances(data), k)
         k_eff = min(k, n - 1)
         for i in range(n):
             dists = sorted(

@@ -84,7 +84,7 @@ class TestFusedAffinity:
     @pytest.mark.parametrize("local", [False, True])
     def test_laplacian(self, rng, local):
         x = data_with_duplicates(rng)
-        scaling = estimate_local_sigmas(pairwise_distances(x)) if local else estimate_global_sigma(x)
+        scaling = estimate_local_sigmas(x, pairwise_distances(x)) if local else estimate_global_sigma(x)
         a = build_affinity(pairwise_distances(x), scaling)
         inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
         expected = a * np.outer(inv_sqrt, inv_sqrt)
@@ -188,6 +188,19 @@ class TestAffinityLocal:
                     expected = math.exp(-d2 / (sigmas[i] * sigmas[j]))
                 assert abs(a[i, j] - expected) <= 1e-12
 
+    @pytest.mark.parametrize("exponent", [1, 2])
+    def test_row_blocks_match_outer_product(self, rng, exponent):
+        # 600 rows span three blocks of the sigma product. Rows 0-2 and the
+        # pair 255/256 across the first block boundary repeat a point, so
+        # their sigmas (k = 1) are 0 and take the zero-scale limit.
+        x = rng.normal(0, 1, (600, 3))
+        x[1] = x[2] = x[0]
+        x[256] = x[255]
+        sigmas = estimate_local_sigmas(x, pairwise_distances(x), 1).local_sigmas
+        assert np.flatnonzero(sigmas == 0).tolist() == [0, 1, 2, 255, 256]
+        a = affinity_local(pairwise_distances(x), sigmas, exponent)
+        assert np.array_equal(a, local_oracle(x, sigmas, exponent))
+
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             affinity_local(pairwise_distances(np.eye(3)), [1.0, 1.0])
@@ -259,7 +272,7 @@ class TestNormalizedLaplacian:
         # averaging; (L + L.T) / 2 == L bit for bit, so nothing changes.
         x = np.vstack([rng.normal(0, 1, (40, 3)), rng.normal(6, 0.1, (30, 3))])
         x[5] = x[4]  # a duplicate point: zero local sigma products
-        scaling = estimate_local_sigmas(pairwise_distances(x)) if local else estimate_global_sigma(x)
+        scaling = estimate_local_sigmas(x, pairwise_distances(x)) if local else estimate_global_sigma(x)
         lap = normalized_laplacian(build_affinity(pairwise_distances(x), scaling))
         assert np.array_equal(lap, lap.T)
         assert np.array_equal((lap + lap.T) / 2.0, lap)

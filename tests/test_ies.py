@@ -1,3 +1,4 @@
+import contextlib
 import sys
 import threading
 from unittest import mock
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import needs_library, partition_of, separated_blobs
 import iescluster.ies as ies_module
 import iescluster.njw as njw_module
+import iescluster.validation as validation_module
 from iescluster import lapack, linalg
 from iescluster.eigengap import eigengap_k
 from iescluster.errors import InsufficientDataError, InvalidDataError, InvalidParameterError
@@ -22,7 +24,7 @@ from iescluster.ies import (
     node_seed,
 )
 from iescluster.njw import njw_cluster
-from iescluster.scaling import estimate_global_sigma, manual_global_sigma
+from iescluster.scaling import ScalingEstimate, estimate_global_sigma, manual_global_sigma
 from iescluster.synth import nested_scale_dataset
 from iescluster.validation import elbow_sweep, evaluate
 
@@ -514,27 +516,71 @@ def global_results(data):
     return (nodes, raw), elbow_sweep(data, (1, 6), scaling, seed=0)
 
 
-class TestGramOracle:
-    """Global-scale trees and elbow curves on the Gram distances against
-    those built with the exact ``pairwise_distances`` in their place."""
+@contextlib.contextmanager
+def exact_distances():
+    """Every caller of ``gram_distances`` given ``pairwise_distances``."""
+    with contextlib.ExitStack() as stack:
+        for module in (ies_module, njw_module, validation_module):
+            stack.enter_context(
+                mock.patch.object(module, "gram_distances", linalg.pairwise_distances)
+            )
+        yield
 
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: separated_blobs((25, 25, 25), seed=4)[0],
-            lambda: separated_blobs([60] * 3, separation=10.0, spread=1.0, dims=3, seed=1)[0],
-            lambda: nested_scale_dataset(n_per_group=60, seed=5).features,
-            lambda: nested_scale_dataset(n_per_group=40, dims=20, seed=2).features + 1e8,
-        ],
-        ids=["blobs", "close-blobs", "nested", "nested-offset"],
-    )
+
+def exact_local_sigmas(data, distances, k):
+    """Local sigmas taken from the exact matrix's rows, ignoring ``distances``."""
+    dist = linalg.pairwise_distances(data)
+    k_eff = min(k, dist.shape[0] - 1)
+    return ScalingEstimate(kind="local", local_sigmas=np.partition(dist, k_eff, axis=1)[:, k_eff])
+
+
+def local_results(data):
+    """Every node of the ies-local and ELS trees on ``data``, with the bits
+    of its local sigmas."""
+    return [
+        [(n.id, n.depth, n.estimated_k, n.leaf_reason, n.children,
+          n.member_indices.tolist(), n.sigma and n.sigma.local_sigmas.tolist())
+         for n in tree.nodes]
+        for tree in (ies_cluster(data, "local", master_seed=0), els_cluster(data, master_seed=0))
+    ]
+
+
+ORACLE_LAYOUTS = pytest.mark.parametrize(
+    "make",
+    [
+        lambda: separated_blobs((25, 25, 25), seed=4)[0],
+        lambda: separated_blobs([60] * 3, separation=10.0, spread=1.0, dims=3, seed=1)[0],
+        lambda: nested_scale_dataset(n_per_group=60, seed=5).features,
+        lambda: nested_scale_dataset(n_per_group=40, dims=20, seed=2).features + 1e8,
+    ],
+    ids=["blobs", "close-blobs", "nested", "nested-offset"],
+)
+
+
+class TestGramOracle:
+    """Trees and elbow curves on the Gram distances against those built from
+    the exact ``pairwise_distances``: in their place for the global scale,
+    and as the source of every local sigma."""
+
+    @ORACLE_LAYOUTS
     def test_global_callers_match_exact_distances(self, make):
         data = make()
         shipped = global_results(data)
-        with mock.patch.object(njw_module, "gram_distances", linalg.pairwise_distances):
+        with exact_distances():
             reference = global_results(data)
         assert shipped[0] == reference[0]
         # Embedding SSEs are sums over an embedding that moves with the
         # distances' last bits; the partitions behind them are equal above.
         assert [k for k, _ in shipped[1]] == [k for k, _ in reference[1]]
         assert [v for _, v in shipped[1]] == pytest.approx([v for _, v in reference[1]], rel=1e-9)
+
+    @ORACLE_LAYOUTS
+    def test_local_callers_match_exact_sigmas(self, make):
+        # The certified sigmas are the exact matrix's bits, so on the same
+        # Gram affinities every node, and every sigma, is the same.
+        data = make()
+        data[1] = data[0]  # a duplicate: some sigma products are 0
+        shipped = local_results(data)
+        with mock.patch.object(ies_module, "estimate_local_sigmas", exact_local_sigmas):
+            reference = local_results(data)
+        assert shipped == reference

@@ -147,7 +147,7 @@ def nested_laplacian(kind):
     if kind == "global":
         scaling = estimate_global_sigma(x)
     else:
-        scaling = estimate_local_sigmas(pairwise_distances(x), 7)
+        scaling = estimate_local_sigmas(x, pairwise_distances(x), 7)
     return normalized_laplacian(build_affinity(pairwise_distances(x), scaling))
 
 

@@ -138,7 +138,7 @@ class TestNodeSpectrum:
         n = x.shape[0]
         assert n == 600
         d = pairwise_distances(x)
-        scaling = estimate_local_sigmas(d) if local else estimate_global_sigma(x)
+        scaling = estimate_local_sigmas(x, d) if local else estimate_global_sigma(x)
         tracemalloc.start()
         try:
             spectrum = node_spectrum(d, scaling)

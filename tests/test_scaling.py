@@ -15,7 +15,8 @@ from iescluster.errors import (
     InvalidParameterError,
 )
 from iescluster import linalg
-from iescluster.linalg import pairwise_distances
+from iescluster import scaling as scaling_module
+from iescluster.linalg import gram_distances, pairwise_distances
 from iescluster.scaling import (
     estimate_global_sigma,
     estimate_local_sigmas,
@@ -198,14 +199,15 @@ def local_sigma_oracle(dist, k):
 
 
 def local_sigmas(data, k):
-    return estimate_local_sigmas(pairwise_distances(data), k).local_sigmas
+    return estimate_local_sigmas(data, gram_distances(data), k).local_sigmas
 
 
 class TestLocalSigmas:
     def test_three_points_line(self):
         # 1-D points [0, 1, 10] with k=7 clipped to k_eff=2: second-nearest
         # distances are 10, 9, 10 (all pairwise distances enumerated by hand).
-        est = estimate_local_sigmas(pairwise_distances([[0.0], [1.0], [10.0]]), k=7)
+        data = [[0.0], [1.0], [10.0]]
+        est = estimate_local_sigmas(data, gram_distances(data), k=7)
         assert est.kind == "local"
         assert est.local_sigmas == pytest.approx([10.0, 9.0, 10.0])
 
@@ -259,23 +261,117 @@ class TestLocalSigmas:
         data = rng.normal(0, 4, (n, 5))
         data[2::3] = data[1::3][: data[2::3].shape[0]]
         dist = pairwise_distances(data)
-        given_dist = dist.copy()
-        sig = estimate_local_sigmas(given_dist, k).local_sigmas
+        given_dist = gram_distances(data)
+        before = given_dist.copy()
+        sig = estimate_local_sigmas(data, given_dist, k).local_sigmas
         assert np.array_equal(sig, local_sigma_oracle(dist, k))
-        assert np.array_equal(given_dist, dist)  # read, not modified
+        assert np.array_equal(given_dist, before)  # read, not modified
         # A copy, not a view that would keep an n x n array alive.
         assert sig.base is None
 
     def test_distances_shape_checked(self, rng):
-        # Point data is refused, square or not, rather than read as distances.
-        for bad in (rng.normal(0, 1, (3, 3)), np.eye(3), np.zeros((3, 2)), np.zeros(3)):
+        # Point data is refused as distances, square or not, and so is a
+        # matrix of another size than the data's row count.
+        data = rng.normal(0, 1, (3, 2))
+        for bad in (
+            rng.normal(0, 1, (3, 3)), np.eye(3), np.zeros((3, 2)), np.zeros(3), np.zeros((4, 4))
+        ):
             with pytest.raises(DimensionError):
-                estimate_local_sigmas(bad, 1)
+                estimate_local_sigmas(data, bad, 1)
 
     def test_overflowing_distances_are_data_error(self):
         # 1e160 apart: the squared difference, hence the distance, is inf.
         with pytest.raises(InvalidDataError):
             local_sigmas([[0.0], [1e160], [3e160]], 1)
+
+
+def exact_order_statistic(data, k):
+    """Each row's order statistic min(k, n-1) of ``pairwise_distances``."""
+    dist = pairwise_distances(data)
+    k_eff = min(k, dist.shape[0] - 1)
+    return np.partition(dist, k_eff, axis=1)[:, k_eff]
+
+
+class TestCertifiedLocalSigmas:
+    """The local sigmas read from ``gram_distances`` against the exact
+    matrix's order statistics, bit for bit, wherever the Gram form errs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 30),
+        st.integers(1, 12),
+        st.sampled_from(["normal", "grid", "near"]),
+        st.sampled_from([0.0, 1e8, -3.5e7]),
+        st.integers(-500, 500) | st.sampled_from([-500, 500, 505, 512]),
+        st.sampled_from(["one", "seven", "n-1"]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_exact_order_statistic(self, n, m, layout, offset, s, which, seed):
+        rng = np.random.default_rng(seed)
+        k = {"one": 1, "seven": 7, "n-1": n - 1}[which]
+        # Small integers give exact duplicates and ties at the k-th distance.
+        if layout == "grid":
+            x = rng.integers(-2, 3, (n, m)).astype(float)
+        else:
+            x = rng.normal(0, 1, (n, m))
+        for i in range(1, n):
+            if rng.random() < 0.2:
+                x[i] = x[rng.integers(0, i)]
+                if layout == "near":
+                    x[i] += 1e-9 * rng.normal(0, 1, m)
+        x = np.ldexp(x + offset * rng.random(m), s)
+        with np.errstate(over="ignore"):
+            want = exact_order_statistic(x, k)
+            dist = gram_distances(x)
+        if not np.all(np.isfinite(want)):
+            # Distances that overflow to the k-th neighbour: a data error.
+            with pytest.raises(InvalidDataError):
+                estimate_local_sigmas(x, dist, k)
+            return
+        assert np.array_equal(estimate_local_sigmas(x, dist, k).local_sigmas, want)
+
+    def test_near_ties_widen_the_candidates(self):
+        # Point 0 sits far from the centroid with twenty neighbours at
+        # distance 1 within about 1e-13, in 50 dimensions: the Gram form
+        # errs by about 1e-10 there, so it cannot order them, and the third
+        # neighbour needs more than k + 1 exact candidates (the self entry
+        # counts). Every row still comes out as the exact matrix's bits.
+        rng = np.random.default_rng(0)
+        m, k = 50, 3
+        u = rng.normal(0, 1, (20, m))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        far = np.zeros(m)
+        far[0] = 1000.0
+        x = np.vstack([far, far + u, rng.normal(0, 1, (30, m))])
+        pairs = []
+
+        def spy(data, rows, cols):
+            pairs.append(rows.copy())
+            return linalg.pair_squared_distances(data, rows, cols)
+
+        with mock.patch.object(scaling_module, "pair_squared_distances", spy):
+            got = estimate_local_sigmas(x, gram_distances(x), k).local_sigmas
+        assert np.array_equal(got, exact_order_statistic(x, k))
+        assert np.count_nonzero(np.concatenate(pairs) == 0) > k + 1
+
+    def test_rows_over_the_scale_ceiling_are_exact(self):
+        # Scales above max/4: the whole row is recomputed, and its finite
+        # k-th distance is still the exact one.
+        x = np.ldexp(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.5], [1.0, 1.0]]), 510)
+        with np.errstate(over="ignore"):
+            dist = gram_distances(x)
+        got = estimate_local_sigmas(x, dist, 1).local_sigmas
+        assert np.array_equal(got, exact_order_statistic(x, 1))
+
+    def test_blocks_and_duplicates(self, rng):
+        # Several certificate blocks, duplicated rows and a 200-column
+        # offset layout like the benchmark's wide workload.
+        n, m = 300, 200
+        x = rng.normal(0, 3, (n, m)) + 1e8
+        x[1::7] = x[0::7][: x[1::7].shape[0]]
+        for k in (1, 7, n - 1):
+            got = estimate_local_sigmas(x, gram_distances(x), k).local_sigmas
+            assert np.array_equal(got, exact_order_statistic(x, k))
 
 
 def test_manual_sigma_rejects_nonpositive():

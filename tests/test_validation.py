@@ -10,7 +10,8 @@ from conftest import separated_blobs
 from iescluster.affinity import normalized_laplacian
 from iescluster.errors import DimensionError, InvalidParameterError
 from iescluster.kmeans import kmeans
-from iescluster.njw import build_affinity, node_distances, spectral_embed
+from iescluster.linalg import gram_distances
+from iescluster.njw import build_affinity, spectral_embed
 from iescluster.scaling import estimate_global_sigma
 from iescluster.validation import (
     AssociationMatrix,
@@ -264,7 +265,7 @@ class TestElbowSweep:
     def test_single_k_equals_njw_chain(self, k):
         data, _ = separated_blobs((10, 12, 9), separation=20.0, spread=2.0, seed=4)
         scaling = estimate_global_sigma(data)
-        lap = normalized_laplacian(build_affinity(node_distances(data, scaling.kind), scaling))
+        lap = normalized_laplacian(build_affinity(gram_distances(data), scaling))
         embedding = spectral_embed(lap, k)
         expected = kmeans(embedding, k, 7).sse
         assert elbow_sweep(data, (k, k), scaling, 7) == [(k, expected)]
