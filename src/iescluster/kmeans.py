@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, InvalidParameterError
-from .linalg import as_matrix
+from .linalg import _EPS, _SCALE_MAX, _SCALE_MIN, as_matrix
 
 _MAX_ITER = 300
 _TOL = 1e-8  # on the largest centroid movement of one pass
@@ -124,12 +124,6 @@ def _farthest_points(x: np.ndarray, k: int, first: int, rows: dict) -> list:
     return chosen
 
 
-_EPS = np.finfo(float).eps
-# Row scales outside this window get an infinite slack, so those rows always
-# take the exact path. Below it, underflow makes rounding errors absolute
-# rather than relative; above it, either form may overflow.
-_SCALE_MIN = np.finfo(float).tiny / _EPS
-_SCALE_MAX = np.finfo(float).max / 4
 # The largest k for which ``_nearest`` stores h as (k, n). Measured at
 # n = 200-1200 on embeddings of k columns: (k, n) took 0.4-0.9x the time of
 # (n, k) up to k = 40, about the same at 48, and 1.1-2.4x at 64-95.
@@ -170,10 +164,10 @@ def _nearest(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> np.ndarr
     4 (d+3) 2^-1022). For S <= _SCALE_MAX no intermediate of either form
     exceeds 2 S, so nothing overflows.
 
-    Rows outside the scale window get an infinite slack, and a NaN gap (from
-    inf - inf) compares false, so both fail ``gap > slack`` and take the
-    exact path. So does any exact tie (gap 0): ties keep ``argmin``'s
-    lowest-id rule.
+    Rows outside ``linalg``'s scale window get an infinite slack, and a NaN
+    gap (from inf - inf) compares false, so both fail ``gap > slack`` and
+    take the exact path. So does any exact tie (gap 0): ties keep
+    ``argmin``'s lowest-id rule.
 
     Since the bound holds for any summation order, the product may be laid
     out either way. For up to ``_BY_CENTROID_K`` centroids h is stored

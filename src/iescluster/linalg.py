@@ -27,13 +27,15 @@ the m x m covariance and the n x n Gram matrix of the centered rows.
 
 Every spectral node takes its distance matrix from ``gram_distances``: the
 centered rows' products from BLAS, within a proven bound, with the
-difference form's bits wherever that bound cannot vouch for an entry.
+difference form's bits wherever that bound cannot vouch for an entry. Its
+contract is one relative bound, ``gram_relative_error(m)``, that depends on
+nothing but the column count.
 ``pairwise_distances`` is the exact form, a row-by-row difference loop
 whose every entry equals the per-pair formula bit for bit; it is the oracle
 in the tests. ``pair_squared_distances`` is its kernel for listed pairs:
 the entries ``gram_distances`` flags, and the candidates through which
-``scaling.estimate_local_sigmas`` certifies the k-th neighbour's distance,
-an order statistic that must keep the exact form's bits.
+``scaling.estimate_local_sigmas`` certifies the k-th neighbour's distance
+against that bound, an order statistic that must keep the exact form's bits.
 """
 
 from __future__ import annotations
@@ -53,12 +55,16 @@ from .errors import (
 # Relative symmetry defect tolerated before refusing to decompose.
 SYMMETRY_RTOL = 1e-10
 
+_EPS = np.finfo(float).eps
+# The scale window of the rounding bounds here and in kmeans._nearest. Below
+# the floor underflow makes rounding errors absolute rather than relative, so
+# a scale counts as the floor; above the ceiling either form may overflow.
+_SCALE_MIN = np.finfo(float).tiny / _EPS
+_SCALE_MAX = np.finfo(float).max / 4
 # gram_distances recomputes, in the difference form, every entry whose Gram
 # form r is at most this share of its pair's scale, or whose scale lies
-# above the ceiling; below the floor the scale counts as the floor.
+# above the window.
 _GRAM_TAU = 2.0**-20
-_GRAM_SCALE_MIN = np.finfo(float).tiny / np.finfo(float).eps
-_GRAM_SCALE_MAX = np.finfo(float).max / 4
 # Rows per block of gram_distances, which bounds its temporaries. At n = 1200
 # these 2.5 MB add about 1 MB to peak RSS; 64 or 128 rows added nothing at
 # most checkout paths but one more n x n at some (glibc heap placement).
@@ -221,14 +227,16 @@ def covariance_eigenvalues(data) -> np.ndarray:
     method of snapshots: Sirovich 1987; Turk & Pentland 1991). So the
     smaller of the two is formed and ``eigvalsh`` takes its values alone;
     for n < m the other m - n eigenvalues are zero. A side that overflows
-    is rejected as ``InvalidDataError``, as non-finite data is.
+    is rejected as ``InvalidDataError``, as non-finite data is, and so is a
+    column mean that overflows.
     """
     x = as_matrix(data)
     n, m = x.shape
     if n < 2:
         raise InsufficientDataError(f"covariance needs at least 2 rows, got {n}")
-    centered = x - x.mean(axis=0)
-    with np.errstate(over="ignore"):  # an inf side is rejected below
+    # A mean or side that overflows (to inf or NaN) is rejected below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - x.mean(axis=0)
         side = centered @ centered.T if n < m else centered.T @ centered
     values = np.zeros(m)
     # eigvalsh reads one triangle, so the product needs no symmetrizing.
@@ -282,6 +290,15 @@ def pair_squared_distances(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) ->
     return out
 
 
+def gram_relative_error(m: int) -> float:
+    """``gram_distances``' rho(m) = (m + 8) eps / tau = (m + 8) 2^-32, for
+    m < 2^20 columns. Its (m + 4) eps / tau is the Gram bound relative to a
+    trusted r. The spare 2^-30 covers the difference form's (m + 2) u, the
+    sqrt's 2u + u^2 and their cross terms, under 2^-32 in all, and the
+    m 2^-1075 that underflow can add to q against a d^2 above 2^-991."""
+    return (m + 8) * _EPS / _GRAM_TAU
+
+
 def gram_distances(data) -> np.ndarray:
     """Euclidean distance matrix from one matrix product of the centered rows,
     with ``pairwise_distances``'s bits wherever that product cannot be trusted.
@@ -310,9 +327,15 @@ def gram_distances(data) -> np.ndarray:
     ``pairwise_distances``' entry bit for bit.
     That covers every pair of duplicate rows (r <= (m + 4) eps M < tau M,
     so they read exactly 0) and every entry that overflows there (which
-    needs S > max/4). Every other entry is sqrt(r), whose square is within
-    (m + 4) eps M + eps r of d^2: a relative error of about (m + 4) 2^-32
-    at most, with tau = 2^-20.
+    needs S > max/4).
+
+    Contract. With q the pair's difference-form sum of squares
+    (``pair_squared_distances``) and D the returned entry, D = 0 exactly
+    where q = 0, D = inf exactly where q = inf, and otherwise
+    |q - D^2| <= rho D^2 with rho = ``gram_relative_error(m)``. A recomputed
+    D is fl(sqrt(q)); a trusted one has r > tau M, so the bound above reads
+    |r - d^2| <= (m + 4) (eps / tau) r. ``scaling.estimate_local_sigmas``
+    relies on this contract alone.
 
     Only the upper triangle is formed; the zero diagonal and the lower
     triangle are mirrored from it, so the matrix is exactly symmetric
@@ -336,8 +359,8 @@ def gram_distances(data) -> np.ndarray:
             scale = np.add.outer(sq[r0:r1], sq[r0:])
             r *= -2.0
             r += scale
-            redo = ~(scale <= _GRAM_SCALE_MAX)
-            np.maximum(scale, _GRAM_SCALE_MIN, out=scale)
+            redo = ~(scale <= _SCALE_MAX)
+            np.maximum(scale, _SCALE_MIN, out=scale)
             scale *= _GRAM_TAU
             redo |= ~(r > scale)
             # Only the strict upper triangle is kept.

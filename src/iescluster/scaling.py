@@ -5,7 +5,8 @@ variances, axes chosen to cover a cumulative explained-variance threshold) and
 a per-point local sigma (distance to the k-th nearest neighbor), read from the
 node's ``gram_distances`` matrix before the affinity overwrites it and
 certified against the points, so it keeps the exact ``pairwise_distances``
-matrix's bits.
+matrix's bits. The certificate rests on ``gram_distances``' relative bound,
+``linalg.gram_relative_error(m)``, and needs nothing else from the data.
 
 The variance along principal axis i is the i-th covariance eigenvalue, and no
 axis or projection enters sigma^2, so the global scheme takes the eigenvalues
@@ -28,13 +29,8 @@ from .errors import (
     InvalidDataError,
     InvalidParameterError,
 )
-from .linalg import as_matrix, covariance_eigenvalues, pair_squared_distances
+from .linalg import _EPS, as_matrix, covariance_eigenvalues, gram_relative_error, pair_squared_distances
 
-_EPS = np.finfo(float).eps
-# A row's certificate scale counts as the floor below it; above the ceiling
-# its slack is infinite, as gram_distances recomputes such entries exactly.
-_SCALE_MIN = np.finfo(float).tiny / _EPS
-_SCALE_MAX = np.finfo(float).max / 4
 # Rows per block of estimate_local_sigmas' certificate. At n = 1200, m = 20
 # its tracemalloc peak is 1.2 MiB with 64 rows and 4.8 MiB with 256, which
 # were no faster.
@@ -111,16 +107,6 @@ def estimate_global_sigma(data, variance_threshold: float = 0.95) -> ScalingEsti
     )
 
 
-def _local_slack(x: np.ndarray) -> np.ndarray:
-    """Each row's delta_i of ``estimate_local_sigmas``: 2 (2m + 9) eps M_i,
-    or inf where M_i is above max/4 (or overflowed to inf or NaN)."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        c = x - x.mean(axis=0)
-        sq = np.einsum("ij,ij->i", c, c)
-        scale = np.maximum(sq + sq.max(), _SCALE_MIN)
-    return np.where(scale <= _SCALE_MAX, 2 * (2 * x.shape[1] + 9) * _EPS * scale, np.inf)
-
-
 def estimate_local_sigmas(data, distances, k: int = 7) -> ScalingEstimate:
     """Per-point local sigma: Euclidean distance to the k-th nearest neighbor,
     bit for bit the row's order statistic in ``pairwise_distances(data)``,
@@ -130,38 +116,27 @@ def estimate_local_sigmas(data, distances, k: int = 7) -> ScalingEstimate:
     k is clipped to n-1 so small subsets still get a defined scale. Duplicated
     points can yield sigma 0; the affinity construction handles that case.
 
-    Certificate. Let u = eps/2, q_ij the difference form's sum of squares
-    (``pair_squared_distances``), p_ij = fl(sqrt(q_ij)) the exact matrix's
-    entry, d_ij the exact distance of the rows and D_ij the given entry.
-    With c = fl(x - mean) and s_i = |c_i|^2 as in ``gram_distances``, let
-    M_i = max(s_i + max_j s_j, tiny/eps) and S the pair's s_i + s_j <= M_i.
-    Then d^2 <= 2 S (1 + O(m eps)): the rows' difference is that of the
-    centered rows, each within a relative u of c_i. The difference form
-    rounds each term within g_3 and sums m nonnegative terms within
-    g_(m-1), so |q - d^2| <= (m + 2) u d^2 <= (m + 2) eps M_i. An entry
-    ``gram_distances`` took from the product is fl(sqrt(r)) with
-    |r - d^2| <= (m + 4) eps M_i (its docstring); one it recomputed is p,
-    whose r is q. Either way the sqrt rounds by u, so |r - D^2| <= eps D^2,
-    and D^2 <= 2 M_i (1 + O(m eps)). In all |q - D^2| <= (2m + 8) eps M_i
-    (1 + O(m eps)). Products that underflow add about 2^-1075 each, which
-    eps M_i >= tiny dwarfs, and for M_i <= max/4 nothing overflows. The
-    slack delta_i = 2 (2m + 9) eps M_i is thus above 2 |q_ij - D_ij^2|
-    for every j.
+    Certificate. Let q be an entry's difference-form sum of squares
+    (``pair_squared_distances``), so that fl(sqrt(q)) is the exact matrix's
+    entry, and D the given entry. Both ``gram_distances`` and the exact
+    matrix keep ``gram_distances``' contract: D = 0 exactly where q = 0,
+    D = inf exactly where q = inf, and otherwise |q - D^2| <= rho D^2, with
+    rho = ``gram_relative_error(m)``.
 
     Selection. Let D_k be the row's order statistic k (the self entry 0
     counts, as in the exact row's partition). At least k + 1 entries have
-    D <= D_k, so q <= D_k^2 + delta_i / 2, and so does the exact order
-    statistic q_k. An entry with D^2 > D_k^2 + delta_i has
-    q > D_k^2 + delta_i / 2 >= q_k: strictly above it. So the entries with
-    D <= t_i = sqrt(D_k^2 + delta_i) (the candidates; the computed t_i is
-    rounded up by 1 + 4 eps) hold the k + 1 smallest q, and order
-    statistic k of their q, recomputed by ``pair_squared_distances``, is
-    q_k; sqrt is monotone, so its fl(sqrt) is the exact matrix's entry.
-    Rows whose M_i is above max/4 get an infinite slack, so they are
-    recomputed whole, as are rows whose k-th neighbour ties with many
-    others within delta_i (duplicates). Rows are certified ``_LOCAL_ROWS``
-    at a time: one partition per block and one gather of its candidates,
-    k + 1 per row when nothing ties.
+    D <= D_k and so q <= (1 + rho) D_k^2, and so does the exact order
+    statistic q_k. An entry with D > D_k sqrt((1 + rho) / (1 - rho)) has
+    q >= (1 - rho) D^2 > (1 + rho) D_k^2 >= q_k, or q = inf: strictly
+    above it. So the entries below that threshold (the candidates; the
+    computed threshold is rounded up by 1 + 4 eps) hold the k + 1 smallest
+    q, and order statistic k of their q, recomputed by
+    ``pair_squared_distances``, is q_k; sqrt is monotone, so its fl(sqrt)
+    is the exact matrix's entry. An overflowed D_k gives an infinite
+    threshold, so its row is recomputed whole, as are rows whose k-th
+    neighbour ties with many others within the threshold (duplicates).
+    Rows are certified ``_LOCAL_ROWS`` at a time: one partition per block
+    and one gather of its candidates, k + 1 per row when nothing ties.
 
     Raises DimensionError when ``distances`` is not n x n with a zero
     diagonal for n x m data, and InvalidDataError when the data's pairwise
@@ -182,14 +157,14 @@ def estimate_local_sigmas(data, distances, k: int = 7) -> ScalingEstimate:
         )
     k_eff = min(k, n - 1)
     sigmas = np.empty(n)
-    slack = _local_slack(x)
+    rho = gram_relative_error(x.shape[1])
+    widen = math.sqrt((1 + rho) / (1 - rho)) * (1 + 4 * _EPS)
     for r0 in range(0, n, _LOCAL_ROWS):
         block = dist[r0 : r0 + _LOCAL_ROWS]
         # The self entry 0 is the smallest of its row, so order statistic
         # k_eff of the full row is the k_eff-th nearest other point.
         kth = np.partition(block, k_eff, axis=1)[:, k_eff]
-        with np.errstate(over="ignore"):
-            bound = np.sqrt(kth * kth + slack[r0 : r0 + _LOCAL_ROWS]) * (1 + 4 * _EPS)
+        bound = kth * widen
         # flatnonzero lists the candidates row by row; sort each row's.
         rows, cols = np.divmod(np.flatnonzero(block <= bound[:, None]), n)
         exact = pair_squared_distances(x, rows + r0, cols)

@@ -69,6 +69,24 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def tau_edge_ring(rng, m, count=12):
+    """A point at e_1, a ring of ``count`` neighbours around it and
+    ``count + 1`` points near -e_1 that hold the centroid near 0, in m >= 2
+    dimensions. Each pair of the point and a neighbour has scale M ~ 2 and
+    d^2 in (1.05, 4] tau M with tau = 2^-20: just above gram_distances'
+    cut, where the entries it trusts carry their largest relative error.
+    The radii differ by a relative 1e-12 to 1e-8, about that error, so
+    the Gram form may misorder the neighbours."""
+    far = np.zeros(m)
+    far[0] = 1.0
+    base = np.sqrt(rng.uniform(1.05, 4.0) * 2.0**-20 * 2.0)
+    jitter = 10.0 ** rng.uniform(-12, -8, count) * rng.choice([-1.0, 1.0], count)
+    u = rng.normal(0, 1, (count, m))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    ring = far + (base * (1 + jitter))[:, None] * u
+    return np.vstack([far, ring, -far + 0.01 * rng.normal(0, 1, (count + 1, m))])
+
+
 def covariance(data) -> np.ndarray:
     """Sample covariance (divisor n-1) of mean-centered columns."""
     x = as_matrix(data)

@@ -310,6 +310,34 @@ class TestCommandLine:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ["run", "--mode", "ies-global"],
+        ["run", "--mode", "ies-local"],
+        ["run", "--mode", "els"],
+        ["run", "--mode", "njw", "--k", "2"],
+        ["run", "--mode", "legacy-eigengap"],
+        ["elbow", "--k-min", "1", "--k-max", "3"],
+    ])
+    def test_overflowing_column_mean_is_one_stderr_line(self, tmp_path, command):
+        # One column of +-max and zeros: its mean is NaN, as numpy adds
+        # max + max before -max - max. No RuntimeWarning may precede the
+        # error line, in any mode.
+        big = np.finfo(float).max
+        path = tmp_path / "huge.csv"
+        column = np.array([big, big, -big, -big, 0.0, 0.0, 0.0, 0.0])
+        save_dataset(Dataset(features=column[:, None]), path)
+        out = tmp_path / "x.out"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "iescluster", *command,
+             "--input", str(path), "--has-header", "--output", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
+
     def test_bad_csv_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3,oops\n")

@@ -36,7 +36,14 @@ from iescluster.scaling import (
 )
 from iescluster.synth import nested_scale_dataset
 
-from conftest import covariance, ideal_block_affinity, needs_library, pca, separated_blobs
+from conftest import (
+    covariance,
+    ideal_block_affinity,
+    needs_library,
+    pca,
+    separated_blobs,
+    tau_edge_ring,
+)
 
 INV_SQRT2 = 0.7071067811865476  # 1/sqrt(2), hand value
 
@@ -681,3 +688,43 @@ class TestGramDistances:
             want = pairwise_distances(x)
         assert np.isfinite(want[0, 1])
         assert np.array_equal(got, want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 24),
+        st.integers(1, 12) | st.just(200),
+        st.sampled_from(["normal", "grid", "near", "ring"]),
+        st.sampled_from([0.0, 1e8, -3.5e7]),
+        st.integers(-540, 520) | st.sampled_from([-540, -500, 500, 512, 520]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_relative_contract(self, n, m, layout, offset, s, seed):
+        # gram_relative_error's contract on every entry, in exact arithmetic:
+        # D = 0 exactly where q = 0, D = inf exactly where q = inf, and
+        # otherwise |q - D^2| <= rho(m) D^2, with q the pair's difference
+        # form. The ring puts trusted entries just above the tau cut.
+        rng = np.random.default_rng(seed)
+        if layout == "ring":
+            x = tau_edge_ring(rng, max(m, 2))
+        elif layout == "grid":
+            x = rng.integers(-2, 3, (n, m)).astype(float)
+        else:
+            x = rng.normal(0.0, 1.0, (n, m))
+            for i in range(1, n):
+                if rng.random() < 0.2:
+                    x[i] = x[rng.integers(0, i)]
+                    if layout == "near":
+                        x[i] += 1e-9 * rng.normal(0, 1, m)
+        n, m = x.shape
+        x = np.ldexp(x + offset * rng.random(m), s)
+        with np.errstate(over="ignore"):
+            got = linalg.gram_distances(x)
+        rows, cols = np.triu_indices(n)
+        q = linalg.pair_squared_distances(x, rows, cols)
+        rho = Fraction(linalg.gram_relative_error(m))
+        for qv, dv in zip(q.tolist(), got[rows, cols].tolist()):
+            if qv in (0.0, math.inf) or dv in (0.0, math.inf):
+                assert qv == dv
+                continue
+            d2 = Fraction(dv) ** 2
+            assert abs(Fraction(qv) - d2) <= rho * d2

@@ -23,7 +23,7 @@ from iescluster.scaling import (
     manual_global_sigma,
 )
 
-from conftest import pca
+from conftest import pca, tau_edge_ring
 
 
 def two_column_data(var1, var2):
@@ -362,6 +362,27 @@ class TestCertifiedLocalSigmas:
             dist = gram_distances(x)
         got = estimate_local_sigmas(x, dist, 1).local_sigmas
         assert np.array_equal(got, exact_order_statistic(x, 1))
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 8, 20])
+    def test_ring_at_the_tau_edge(self, m):
+        # Trusted entries with their largest relative error, around radii
+        # that differ by about that much: the candidates must reach the
+        # exact k-th neighbour wherever the Gram form misorders the ring.
+        for seed in range(12):
+            x = tau_edge_ring(np.random.default_rng(seed), m)
+            dist = gram_distances(x)
+            for k in (1, 3, 7, 12):
+                got = estimate_local_sigmas(x, dist, k).local_sigmas
+                assert np.array_equal(got, exact_order_statistic(x, k))
+
+    def test_overflowing_column_mean_is_data_error(self):
+        # numpy sums the column pairwise, (max + max) + (-max - max), so its
+        # mean is NaN and gram_distances recomputes every entry. The 7th
+        # neighbour of each +-max row is at an inf distance.
+        big = np.finfo(float).max
+        x = np.array([big, big, -big, -big, 0.0, 0.0, 0.0, 0.0])[:, None]
+        with pytest.raises(InvalidDataError):
+            estimate_local_sigmas(x, gram_distances(x))
 
     def test_blocks_and_duplicates(self, rng):
         # Several certificate blocks, duplicated rows and a 200-column
