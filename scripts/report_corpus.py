@@ -4,7 +4,10 @@
 Runs the `cluster` command line in-process over a fixed set of synthetic
 layouts and flag sets, and writes into OUT_DIR:
 
-- ``data/<layout>.csv``: each input dataset;
+- ``data/<layout>.csv``: each input dataset; the ``two-groups`` layout
+  is also written with every cell quoted (``csv.QUOTE_ALL``, CRLF line
+  ends) as ``two-groups-quoted``, which the exact CSV parser reads, not the
+  fast one;
 - ``<layout>--<flags>.json``: each `cluster run` report without its
   ``runtime_ms`` field, the one part of a report that is not deterministic;
 - ``<layout>--<flags>.csv``: each `cluster elbow` curve;
@@ -27,6 +30,7 @@ Usage: python scripts/report_corpus.py OUT_DIR
 """
 
 import contextlib
+import csv
 import io
 import json
 import os
@@ -106,6 +110,19 @@ def flag_sets() -> list:
     return sets
 
 
+# Layouts also written with every cell quoted.
+QUOTED = ("two-groups",)
+
+
+def save_quoted(dataset: Dataset, path: Path) -> None:
+    """``save_dataset``'s table with every cell quoted and CRLF line ends."""
+    save_dataset(dataset, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
+
+
 def run_one(argv: list, report: Path, meta: Path) -> None:
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr):
@@ -135,10 +152,15 @@ def main() -> int:
     os.chdir(out)
     Path("data").mkdir()
     for data_seed in DATA_SEEDS:
+        inputs = []
         for name, dataset in layouts(data_seed).items():
+            inputs.append((name, dataset, save_dataset))
+            if name in QUOTED:
+                inputs.append((f"{name}-quoted", dataset, save_quoted))
+        for name, dataset, save in inputs:
             layout = f"{name}-d{data_seed}"
             data = Path("data") / f"{layout}.csv"
-            save_dataset(dataset, data)
+            save(dataset, data)
             for flags in flag_sets():
                 stem = f"{layout}--{'_'.join(a.lstrip('-') for a in flags)}"
                 suffix = ".json" if flags[0] == "run" else ".csv"

@@ -52,11 +52,74 @@ def load_dataset(path, label_column=None, has_header: bool = False) -> Dataset:
     name (a name implies ``has_header``). Blank lines are skipped. Ragged rows
     (a header of another width too) and non-numeric or non-finite feature
     cells raise errors naming the offending line of the file.
-    """
-    label_by_name = isinstance(label_column, str) and not _is_int(label_column)
-    if label_by_name:
-        has_header = True
 
+    Two parsers read the file. A fast one converts the feature cells with
+    numpy's C parser (``np.loadtxt``), and takes only a file without quote
+    characters, NULs or lone carriage returns, with the same comma count on
+    every non-blank line, and with every feature cell a finite number that
+    ``np.loadtxt`` reads. Any other file goes to the exact parser, csv.reader
+    and ``float`` cell by cell, which names the bad line. Both give the same
+    Dataset, bit for bit, on every file the fast one takes.
+    """
+    dataset = _load_fast(path, label_column, has_header)
+    return dataset if dataset is not None else _load_exact(path, label_column, has_header)
+
+
+def _load_fast(path, label_column, has_header: bool) -> Dataset | None:
+    """``load_dataset`` through ``np.loadtxt``, or None for a file whose
+    Dataset it cannot vouch for equals the exact parser's. Raises only the
+    label-column errors the exact parser raises on the same file."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+    except UnicodeDecodeError:
+        return None
+    # csv.reader reads a quoted cell its own way, ends a line at a lone \r,
+    # and before Python 3.11 rejects a NUL.
+    if '"' in text or "\x00" in text or text.count("\r") != text.count("\r\n"):
+        return None
+    # A line's \r is its last character, which strip() drops and loadtxt
+    # reads as the line's end.
+    lines = [line for line in text.split("\n") if line.replace(",", "").strip()]
+    del text
+    # A longer cell is a csv.Error in csv.reader.
+    if not lines or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    width = lines[0].count(",") + 1
+    if any(line.count(",") != width - 1 for line in lines):
+        return None
+    header = None
+    if has_header or _by_name(label_column):
+        header = [cell.strip() for cell in lines[0].split(",")]
+        lines = lines[1:]
+        if not lines:
+            return None
+    label_idx, feature_cols = _columns(path, header, width, label_column)
+    try:
+        # comments=None: the default "#" would skip lines the exact parser rejects.
+        features = np.loadtxt(
+            lines, delimiter=",", comments=None, quotechar=None,
+            usecols=feature_cols, ndmin=2,
+        )
+    except ValueError:
+        return None
+    if not np.isfinite(features).all():
+        return None
+    raw_labels = [] if label_idx is None else [_cell(line, label_idx, width).strip() for line in lines]
+    return _dataset(features, raw_labels, header, label_idx, feature_cols)
+
+
+def _cell(line: str, j: int, width: int) -> str:
+    """Cell ``j`` of a line of ``width`` comma-separated cells, split off
+    from the nearer end."""
+    if j < width // 2:
+        return line.split(",", j + 1)[j]
+    return line.rsplit(",", width - j)[1]
+
+
+def _load_exact(path, label_column=None, has_header: bool = False) -> Dataset:
+    """``load_dataset`` through csv.reader and ``float``, cell by cell: the
+    fallback for any file the fast parser refuses, and its oracle."""
     # Each kept row's line in the file (a quoted multi-line record's last).
     rows, lines = [], []
     try:
@@ -80,30 +143,13 @@ def load_dataset(path, label_column=None, has_header: bool = False) -> Dataset:
             )
 
     header = None
-    if has_header:
+    if has_header or _by_name(label_column):
         header = [cell.strip() for cell in rows[0]]
         rows, lines = rows[1:], lines[1:]
         if not rows:
             raise InvalidDataError(f"{path}: no data rows after header")
 
-    label_idx = None
-    if label_column is not None:
-        if label_by_name:
-            if header is None or label_column not in header:
-                raise InvalidDataError(f"{path}: no column named {label_column!r}")
-            label_idx = header.index(label_column)
-        else:
-            label_idx = int(label_column)
-            if not -width <= label_idx < width:
-                raise InvalidDataError(
-                    f"{path}: label column index {label_idx} out of range for {width} columns"
-                )
-            label_idx %= width
-
-    feature_cols = [j for j in range(width) if j != label_idx]
-    if not feature_cols:
-        raise InvalidDataError(f"{path}: no feature columns left after label split")
-
+    label_idx, feature_cols = _columns(path, header, width, label_column)
     features = np.empty((len(rows), len(feature_cols)))
     raw_labels: list[str] = []
     for i, (row, line) in enumerate(zip(rows, lines)):
@@ -121,7 +167,36 @@ def load_dataset(path, label_column=None, has_header: bool = False) -> Dataset:
             features[i, out_j] = value
         if label_idx is not None:
             raw_labels.append(row[label_idx].strip())
+    return _dataset(features, raw_labels, header, label_idx, feature_cols)
 
+
+def _by_name(label_column) -> bool:
+    return isinstance(label_column, str) and not _is_int(label_column)
+
+
+def _columns(path, header, width: int, label_column) -> tuple[int | None, list[int]]:
+    """The label column's index (None without one) and the feature columns'."""
+    label_idx = None
+    if label_column is not None:
+        if _by_name(label_column):
+            if header is None or label_column not in header:
+                raise InvalidDataError(f"{path}: no column named {label_column!r}")
+            label_idx = header.index(label_column)
+        else:
+            label_idx = int(label_column)
+            if not -width <= label_idx < width:
+                raise InvalidDataError(
+                    f"{path}: label column index {label_idx} out of range for {width} columns"
+                )
+            label_idx %= width
+
+    feature_cols = [j for j in range(width) if j != label_idx]
+    if not feature_cols:
+        raise InvalidDataError(f"{path}: no feature columns left after label split")
+    return label_idx, feature_cols
+
+
+def _dataset(features, raw_labels, header, label_idx, feature_cols) -> Dataset:
     labels = _coerce_labels(raw_labels) if label_idx is not None else None
     names = (
         tuple(header[j] for j in feature_cols) if header is not None else None

@@ -226,21 +226,22 @@ def covariance_eigenvalues(data) -> np.ndarray:
     centered rows Xc, are those of the n x n Gram matrix XcXcᵀ / (n-1) (the
     method of snapshots: Sirovich 1987; Turk & Pentland 1991). So the
     smaller of the two is formed and ``eigvalsh`` takes its values alone;
-    for n < m the other m - n eigenvalues are zero. A side that overflows
-    is rejected as ``InvalidDataError``, as non-finite data is, and so is a
-    column mean that overflows.
+    for n < m the other m - n eigenvalues are zero. A side that overflows,
+    or a column mean that does, is rejected as ``InvalidDataError`` with a
+    message of its own: the data itself is finite.
     """
     x = as_matrix(data)
     n, m = x.shape
     if n < 2:
         raise InsufficientDataError(f"covariance needs at least 2 rows, got {n}")
-    # A mean or side that overflows (to inf or NaN) is rejected below.
     with np.errstate(over="ignore", invalid="ignore"):
         centered = x - x.mean(axis=0)
         side = centered @ centered.T if n < m else centered.T @ centered
+    if not np.all(np.isfinite(side)):
+        raise InvalidDataError("covariance is not finite: column means or centered products overflow")
     values = np.zeros(m)
     # eigvalsh reads one triangle, so the product needs no symmetrizing.
-    values[: side.shape[0]] = np.linalg.eigvalsh(as_matrix(side / (n - 1)))[::-1]
+    values[: side.shape[0]] = np.linalg.eigvalsh(side / (n - 1))[::-1]
     return np.maximum(values, 0.0, out=values)
 
 

@@ -286,7 +286,27 @@ class TestCommandLine:
         assert code == 3
         assert not out.exists()
         assert capsys.readouterr().err.splitlines() == [
-            "error: matrix contains NaN or Inf entries"
+            "error: covariance is not finite: column means or centered products overflow"
+        ]
+
+    @pytest.mark.parametrize("command", [
+        ["run", "--mode", "ies-global"],
+        ["run", "--mode", "njw", "--k", "2"],
+        ["run", "--mode", "legacy-eigengap"],
+        ["elbow", "--k-min", "1", "--k-max", "3"],
+    ])
+    def test_overflowing_column_mean_names_covariance(self, tmp_path, capsys, command):
+        # The input is finite; its column mean is not.
+        big = np.finfo(float).max
+        path = tmp_path / "huge.csv"
+        column = np.array([big, big, -big, -big, 0.0, 0.0, 0.0, 0.0])
+        save_dataset(Dataset(features=column[:, None]), path)
+        out = tmp_path / "x.out"
+        code = main([*command, "--input", str(path), "--has-header", "--output", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: covariance is not finite: column means or centered products overflow"
         ]
 
     @pytest.mark.parametrize("mode", ["ies-global", "ies-local", "legacy-eigengap", "els"])

@@ -1,7 +1,11 @@
+import csv
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iescluster.dataset import Dataset, load_dataset, save_dataset
+from iescluster.dataset import Dataset, _load_exact, _load_fast, load_dataset, save_dataset
 from iescluster.errors import InvalidDataError
 from iescluster.validation import association_matrix
 
@@ -135,6 +139,159 @@ class TestLoadDataset:
         ds = load_dataset(path, label_column=17)
         assert ds.features.shape == (384, 17)
         assert len(np.unique(ds.labels)) == 5
+
+
+def outcome(parse, path, label_column=None, has_header=False):
+    """What a parser makes of a file: the Dataset's exact contents, or the
+    error's type and message."""
+    try:
+        ds = parse(path, label_column=label_column, has_header=has_header)
+    except Exception as err:
+        return type(err), str(err)
+    labels = None if ds.labels is None else (ds.labels.tolist(), ds.labels.dtype)
+    return ds.features.shape, ds.features.tobytes(), labels, ds.feature_names, ds.label_name
+
+
+NUMBERS = st.one_of(
+    st.floats().map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: f"{v:.6e}"),
+    st.floats(allow_nan=False, allow_infinity=False, width=32).map(lambda v: f"{v:g}"),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(
+        ["+1.5", ".5", "5.", "-0", "1E5", "1e-320", "1e999", "-1e999", "nan", "inf",
+         "-Infinity", "1_0", "\u0661", "00012", "0x10", "1d5"]
+    ),
+)
+NOISE = st.sampled_from(
+    [" ", "\xa0", '"', "#", "\x00", "\x0c", ",", "\r", "\n", "\r\n", "\ufeff", "x"]
+)
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr), st.integers(-99, 99).map(str)
+)
+CELLS = st.one_of(
+    FINITE,
+    FINITE,
+    FINITE,
+    NUMBERS,
+    st.tuples(st.sampled_from(["", " ", "\xa0", "\x0c"]), NUMBERS, st.sampled_from(["", " ", "\xa0"])).map("".join),
+    st.lists(st.one_of(NUMBERS, NOISE), max_size=3).map("".join),
+)
+NAMES = st.sampled_from(["a", "b", " c ", "label", "2", "#x"])
+ENDS = st.sampled_from(["\n"] * 4 + ["\r\n"] * 3 + ["\r"])
+
+
+@st.composite
+def csv_files(draw):
+    """CSV text built row by row (some ragged, some blank) or from a soup of
+    tokens, and the arguments to load it with."""
+    width = draw(st.integers(1, 4))
+    has_header = draw(st.booleans())
+    rows = [draw(st.lists(NAMES, min_size=width, max_size=width))] if has_header else []
+    for _ in range(draw(st.integers(1, 5))):
+        size = draw(st.sampled_from([width] * 10 + [width - 1, width + 1]))
+        rows.append(draw(st.lists(CELLS, min_size=size, max_size=size)))
+    lines = []
+    for row in rows:
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", ",", " , ", "\xa0"])) + draw(ENDS))
+        lines.append(",".join(row) + draw(ENDS))
+    text = "".join(lines)
+    text = draw(st.one_of(
+        st.just(text),
+        st.just(text),
+        st.just(text.rstrip("\r\n")),
+        st.lists(st.one_of(NUMBERS, NOISE, st.sampled_from([",", "\n", "label"])), max_size=20).map("".join),
+    ))
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    label_column = draw(st.one_of(
+        st.none(), NAMES, st.integers(-width - 1, width), st.integers(-width, width - 1).map(str)
+    ))
+    return text, label_column, draw(st.sampled_from([has_header] * 3 + [not has_header]))
+
+
+class TestFastParser:
+    """``load_dataset`` takes numpy's C parser when it can vouch for the
+    result; the exact parser, called directly, is the oracle."""
+
+    @pytest.fixture(scope="class")
+    def folder(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fast")
+
+    @settings(max_examples=400, deadline=None)
+    @given(csv_files())
+    def test_equals_exact_parser(self, folder, case):
+        text, label_column, has_header = case
+        path = folder / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        expected = outcome(_load_exact, path, label_column, has_header)
+        assert outcome(load_dataset, path, label_column, has_header) == expected
+
+    @pytest.mark.parametrize(
+        "text, label_column, has_header",
+        [
+            ("1,2,3\n", None, False),
+            ("a,label\n1,g\n", "label", False),
+            ("7\n8\n9\n", None, False),
+            ("x,y\n7,0\n8,1\n", 0, True),
+            ("1,2\n\n\n3\n", None, False),
+            ("1,2\n\n\n3,4,5\n", -1, False),
+            ("a,b\n1,2,3\n4,5,6\n", None, True),
+            ("a,b,c,d\n1,2,3\n4,5,6\n", "c", False),
+            ("a,b\r\n1,2\r\n", None, True),
+            ("\ufeffa,b\n1,2\n", "a", False),
+        ],
+        ids=["one-row", "one-row-label", "one-column", "one-feature-column",
+             "ragged-after-blank-lines", "long-row-after-blank-lines",
+             "short-header", "long-header", "crlf", "bom"],
+    )
+    def test_explicit_cases_equal_exact_parser(self, tmp_path, text, label_column, has_header):
+        path = write(tmp_path, text)
+        expected = outcome(_load_exact, path, label_column, has_header)
+        assert outcome(load_dataset, path, label_column, has_header) == expected
+
+    def test_not_utf8_equals_exact_parser(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"1,2\n3,\xff\n")
+        assert outcome(load_dataset, path) == outcome(_load_exact, path)
+
+    def test_takes_a_saved_dataset(self, tmp_path):
+        rng = np.random.default_rng(2)
+        ds = Dataset(features=rng.normal(0, 1, (30, 5)), labels=np.arange(30) % 3)
+        path = tmp_path / "out.csv"
+        save_dataset(ds, path)
+        assert _load_fast(path, "label", False) is not None
+        assert outcome(load_dataset, path, "label") == outcome(_load_exact, path, "label")
+
+    # Each file is one that the fast parser would read wrongly, or accept
+    # where the exact parser fails, without the check it names.
+    @pytest.mark.parametrize(
+        "text, label_column, has_header",
+        [
+            ('1,"g"\n2,h\n', 1, False),
+            ("a\r1\n2\n", None, True),
+            ("1,g\n2,h,3\n", 1, False),
+            ("1,2\n3,1_0\n", None, False),
+            ("1,2\n3,\u0661\n", None, False),
+            ("1,2\n3,nan\n", None, False),
+            ("1,2\n3,1e999\n", None, False),
+            ("1,2\n3,4#\n", None, False),
+            ("1,g\n2,h\x00\n", 1, False),
+        ],
+        ids=["quote", "lone-cr", "extra-cell-beside-usecols", "underscore", "arabic-digit",
+             "nan", "overflow", "comment", "nul"],
+    )
+    def test_refuses(self, tmp_path, text, label_column, has_header):
+        path = write(tmp_path, text)
+        assert _load_fast(path, label_column, has_header) is None
+        expected = outcome(_load_exact, path, label_column, has_header)
+        assert outcome(load_dataset, path, label_column, has_header) == expected
+
+    def test_refuses_a_cell_longer_than_csv_field_limit(self, tmp_path):
+        path = write(tmp_path, "1," + "0" * csv.field_size_limit() + "1\n")
+        assert _load_fast(path, None, False) is None
+        with pytest.raises(csv.Error):
+            load_dataset(path)
 
 
 class TestSaveDataset:
