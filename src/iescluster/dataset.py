@@ -132,6 +132,8 @@ def _load_exact(path, label_column=None, has_header: bool = False) -> Dataset:
                     lines.append(reader.line_num)
     except UnicodeDecodeError as err:
         raise InvalidDataError(f"{path}: not UTF-8 text: {err}") from err
+    except csv.Error as err:  # a cell longer than csv.field_size_limit()
+        raise InvalidDataError(f"{path}: line {reader.line_num}: {err}") from err
     if not rows:
         raise InvalidDataError(f"{path}: empty file")
 

@@ -197,8 +197,6 @@ def _node_step(
         except DegenerateDataError:
             return _NodeStep(leaf_reason=LEAF_DEGENERATE)
     try:
-        # The spectrum is the call's argument, so dsytrd's reflector copy is
-        # freed before the node's buffer: the other order costs an n x n of RSS.
         step = _split_spectrum(
             node_spectrum(distances, sigma, config.distance_exponent),
             sigma, config, seed, k_override,

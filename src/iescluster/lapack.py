@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-_ARRAY = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+_ARRAY = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS,WRITEABLE")
 _INTS = np.ctypeslib.ndpointer(np.int64, flags="F_CONTIGUOUS")
 _INT = ctypes.POINTER(ctypes.c_int64)
 _CHAR = ctypes.c_char_p
@@ -76,21 +76,21 @@ class Lapack:
         return info.value
 
     def dsytrd(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Reduce the symmetric ``a`` to tridiagonal T = Qᵀ a Q, blocked with
-        dsytrd's optimal workspace. Returns (reflectors, diagonal,
-        off-diagonal, tau): ``reflectors`` is a Fortran-ordered copy of
-        ``a`` holding Q's n - 1 Householder vectors below its subdiagonal,
-        for ``dormtr``."""
+        """Reduce the symmetric, C-ordered ``a`` in place to tridiagonal
+        T = Qᵀ a Q, blocked with dsytrd's optimal workspace. Returns
+        (reflectors, diagonal, off-diagonal, tau), ``reflectors`` being the
+        Fortran view ``a.T`` with Q's n - 1 Householder vectors below its
+        subdiagonal. dsytrd writes only that view's lower triangle, and the
+        diagonal is put back: ``a``'s lower triangle, all eigh reads, stays."""
         n = a.shape[0]
-        # a is symmetric, so a.T's Fortran-ordered copy is a plain copy of
-        # a's buffer.
-        reflectors = a.T.copy(order="F")
+        reflectors, saved = a.T, a.diagonal().copy()
         diagonal, offdiagonal, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
         args = [b"L", n, reflectors, n, diagonal, offdiagonal, tau]
         query = np.empty(1)
         self._call("dsytrd", *args, query, -1)
         work = np.empty(max(int(query[0]), 1))
         self._call("dsytrd", *args, work, work.size)
+        np.fill_diagonal(a, saved)
         return reflectors, diagonal, offdiagonal, tau
 
     def dsterf(self, diagonal: np.ndarray, offdiagonal: np.ndarray) -> np.ndarray | None:
@@ -164,7 +164,7 @@ def _self_check(lib: Lapack) -> bool:
     a = x + x.T
     expected = np.linalg.eigvalsh(a)
     tol = 1e3 * np.finfo(float).eps * float(np.max(np.abs(expected)))
-    reflectors, diagonal, offdiagonal, tau = lib.dsytrd(a)
+    reflectors, diagonal, offdiagonal, tau = lib.dsytrd(a.copy())
     values = lib.dsterf(diagonal, offdiagonal)
     if values is None or np.max(np.abs(values - expected)) > tol:
         return False

@@ -13,13 +13,13 @@ largest-magnitude entry positive. Two functions build one:
 - ``top_spectrum`` serves the spectral chain, which needs every eigenvalue
   (for the eigengap) but only the top k eigenvectors (for the split), and
   none when k = 1. Where numpy bundles an ILP64 OpenBLAS (its PyPI wheels;
-  see ``lapack``), it reduces the matrix once to tridiagonal form
-  T = Qᵀ A Q (LAPACK ``dsytrd``), whatever its size or caller, and takes
-  every eigenvalue of T (``dsterf``). ``top(k)`` then finds the k
-  eigenvectors of T by inverse iteration (``dstein``) and maps them back
-  through Q (``dormtr``). Without that library it is ``symmetric_eigen``.
-  ``Spectrum.top`` lists where the tridiagonal path gives way to
-  ``symmetric_eigen``.
+  see ``lapack``), it reduces the chain's own buffer, unchecked, in place
+  to tridiagonal form T = Qᵀ A Q (LAPACK ``dsytrd``), and takes every
+  eigenvalue of T (``dsterf``). ``top(k)`` then finds the k eigenvectors
+  of T by inverse iteration (``dstein``) and maps them back through Q
+  (``dormtr``). The buffer's lower triangle still holds A, and it is all
+  ``np.linalg.eigh`` reads: without that library, and at the fallbacks
+  ``Spectrum.top`` lists, it is ``symmetric_eigen`` without the checks.
 
 The global scale σ² needs the covariance eigenvalues and nothing else:
 ``covariance_eigenvalues`` takes them with ``eigvalsh`` on the smaller of
@@ -47,7 +47,6 @@ import numpy as np
 from . import lapack
 from .errors import (
     DimensionError,
-    InsufficientDataError,
     InvalidDataError,
     InvalidParameterError,
 )
@@ -79,8 +78,8 @@ class Spectrum:
     needs for the top eigenvectors: ``eigh``'s ``vectors`` (``vectors[:, i]``
     pairs with ``values[i]``); or the ``matrix`` with its ``tridiagonal``
     form from ``lapack.Lapack.dsytrd`` with lower storage, unpacked: Q's
-    n - 1 Householder reflectors in the Fortran-ordered n x n array dsytrd
-    overwrote, T's diagonal and off-diagonal, and tau."""
+    n - 1 Householder reflectors in ``matrix.T``, T's diagonal and
+    off-diagonal, and tau; ``matrix``'s lower triangle is the input's."""
 
     values: np.ndarray
     vectors: np.ndarray | None = None
@@ -112,7 +111,7 @@ class Spectrum:
             vectors = _tridiagonal_top(self.tridiagonal, self.values, k)
             if vectors is not None:
                 return vectors
-        return symmetric_eigen(self.matrix, check=False).top(k)
+        return _eigh(self.matrix).top(k)
 
 
 def _tied_cut(values: np.ndarray, k: int, k_min: int | None) -> bool:
@@ -178,18 +177,22 @@ def _symmetric(m) -> np.ndarray:
     return a
 
 
-def symmetric_eigen(m, *, check: bool = True) -> Spectrum:
+def symmetric_eigen(m) -> Spectrum:
     """Full eigendecomposition of a symmetric matrix, sorted descending.
 
     Exactly symmetric input is decomposed as is, without a copy: averaging
     it with its transpose would give back the same bits. Other input is
     averaged first, and a symmetry defect above ``SYMMETRY_RTOL`` times the
-    largest entry magnitude is rejected. ``check=False`` skips that for a
-    matrix that ``top_spectrum`` has already checked. Each eigenvector is
-    unit norm with its largest-magnitude entry made positive, so identical
-    input yields identical output.
+    largest entry magnitude is rejected. Each eigenvector is unit norm with
+    its largest-magnitude entry made positive, so identical input yields
+    identical output.
     """
-    values, vectors = np.linalg.eigh(_symmetric(m) if check else m)
+    return _eigh(_symmetric(m))
+
+
+def _eigh(a: np.ndarray) -> Spectrum:
+    """``symmetric_eigen`` without the checks, from ``a``'s lower triangle."""
+    values, vectors = np.linalg.eigh(a)
     # eigh returns ascending order; flip to descending. For equal values the
     # solver's ordering is kept, which is deterministic for identical input.
     values = values[::-1].copy()
@@ -197,28 +200,26 @@ def symmetric_eigen(m, *, check: bool = True) -> Spectrum:
     return Spectrum(values=values, vectors=vectors)
 
 
-def top_spectrum(m) -> Spectrum:
+def top_spectrum(a: np.ndarray) -> Spectrum:
     """Every eigenvalue of a symmetric matrix, descending, and ``top(k)``
     for the eigenvectors of the k largest.
 
-    Input is checked and symmetrized once, as by ``symmetric_eigen``. Where
-    ``lapack.library()`` finds numpy's OpenBLAS, the matrix is
-    tridiagonalized once and only the eigenvalues are computed here.
-    Otherwise, or where ``dsterf`` fails, it is ``symmetric_eigen``. See the
-    module docstring.
+    ``a`` is the chain's C-ordered float64 buffer, finite and exactly
+    symmetric; only its shape is checked. It is tridiagonalized in place,
+    or decomposed by ``_eigh``: see the module docstring.
     """
-    a = _symmetric(m)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"eigendecomposition needs a square matrix, got {a.shape}")
     lib = lapack.library()
     if lib is not None:
         tridiagonal = lib.dsytrd(a)
-        _, diagonal, offdiagonal, _ = tridiagonal
-        values = lib.dsterf(diagonal, offdiagonal)
+        values = lib.dsterf(*tridiagonal[1:3])
         if values is not None:
             return Spectrum(values=values[::-1].copy(), matrix=a, tridiagonal=tridiagonal)
-    return symmetric_eigen(a, check=False)
+    return _eigh(a)
 
 
-def covariance_eigenvalues(data) -> np.ndarray:
+def covariance_eigenvalues(x: np.ndarray) -> np.ndarray:
     """Every eigenvalue of the sample covariance (divisor n-1), descending,
     clipped at 0: m values for n x m data.
 
@@ -226,14 +227,11 @@ def covariance_eigenvalues(data) -> np.ndarray:
     centered rows Xc, are those of the n x n Gram matrix XcXcᵀ / (n-1) (the
     method of snapshots: Sirovich 1987; Turk & Pentland 1991). So the
     smaller of the two is formed and ``eigvalsh`` takes its values alone;
-    for n < m the other m - n eigenvalues are zero. A side that overflows,
-    or a column mean that does, is rejected as ``InvalidDataError`` with a
-    message of its own: the data itself is finite.
+    for n < m the other m - n eigenvalues are zero. ``x`` is validated by
+    ``scaling.estimate_global_sigma``; a side or a column mean that
+    overflows is rejected as ``InvalidDataError``: the data itself is finite.
     """
-    x = as_matrix(data)
     n, m = x.shape
-    if n < 2:
-        raise InsufficientDataError(f"covariance needs at least 2 rows, got {n}")
     with np.errstate(over="ignore", invalid="ignore"):
         centered = x - x.mean(axis=0)
         side = centered @ centered.T if n < m else centered.T @ centered

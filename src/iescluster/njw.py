@@ -14,7 +14,7 @@ import numpy as np
 from .affinity import affinity_global, affinity_local, normalized_laplacian
 from .errors import DegenerateEmbeddingError, InvalidParameterError
 from .kmeans import kmeans
-from .linalg import Spectrum, gram_distances, top_spectrum
+from .linalg import Spectrum, _symmetric, gram_distances, top_spectrum
 from .scaling import ScalingEstimate
 
 # Row norms this far below the largest row are treated as numerically zero.
@@ -68,8 +68,9 @@ def node_spectrum(
 
 
 def spectral_embed(laplacian, k: int) -> np.ndarray:
-    """Top-k eigenvectors of the Laplacian with every row scaled to unit norm."""
-    return row_normalize(top_spectrum(laplacian).top(k))
+    """Top-k eigenvectors of a checked copy of the Laplacian (``top_spectrum``
+    trusts and overwrites its input), every row scaled to unit norm."""
+    return row_normalize(top_spectrum(_symmetric(laplacian).copy()).top(k))
 
 
 def njw_cluster(

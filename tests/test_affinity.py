@@ -13,7 +13,7 @@ from iescluster.errors import (
     InvalidParameterError,
     IsolatedPointsError,
 )
-from iescluster.linalg import pairwise_distances, symmetric_eigen
+from iescluster.linalg import gram_distances, pairwise_distances, symmetric_eigen
 from iescluster.njw import build_affinity
 from iescluster.scaling import estimate_global_sigma, estimate_local_sigmas
 
@@ -268,14 +268,20 @@ class TestNormalizedLaplacian:
 
     @pytest.mark.parametrize("local", [False, True])
     def test_exactly_symmetric(self, rng, local):
-        # symmetric_eigen decomposes exactly symmetric input without
-        # averaging; (L + L.T) / 2 == L bit for bit, so nothing changes.
+        # top_spectrum decomposes the chain's Laplacian unchecked, so it
+        # must be finite, exactly symmetric and zero on the diagonal; then
+        # (L + L.T) / 2 == L bit for bit, and symmetric_eigen's check would
+        # change nothing. gram_distances is the chain's distance form.
         x = np.vstack([rng.normal(0, 1, (40, 3)), rng.normal(6, 0.1, (30, 3))])
         x[5] = x[4]  # a duplicate point: zero local sigma products
-        scaling = estimate_local_sigmas(x, pairwise_distances(x)) if local else estimate_global_sigma(x)
-        lap = normalized_laplacian(build_affinity(pairwise_distances(x), scaling))
-        assert np.array_equal(lap, lap.T)
-        assert np.array_equal((lap + lap.T) / 2.0, lap)
+        for distance in (pairwise_distances, gram_distances):
+            d = distance(x)
+            scaling = estimate_local_sigmas(x, d) if local else estimate_global_sigma(x)
+            lap = normalized_laplacian(build_affinity(d, scaling))
+            assert np.all(np.isfinite(lap))
+            assert np.array_equal(lap, lap.T)
+            assert np.array_equal(np.diag(lap), np.zeros(x.shape[0]))
+            assert np.array_equal((lap + lap.T) / 2.0, lap)
 
     def test_subnormal_degrees_are_isolated(self):
         # exp(-47^2 / 3) underflows to a subnormal; scaling by 1/degree

@@ -385,6 +385,18 @@ class TestCommandLine:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {bad}: line 2: expected 2 columns, got 3"]
 
+    def test_over_long_cell_is_data_error(self, tmp_path, capsys):
+        # csv.reader refuses a cell above its field size limit.
+        bad = tmp_path / "long.csv"
+        limit = csv.field_size_limit()
+        bad.write_text("1,2\n3," + "4" * (limit + 1) + "\n")
+        out = tmp_path / "x.json"
+        code = main(["run", "--mode", "ies-global", "--input", str(bad), "--output", str(out)])
+        assert code == 3
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {bad}: line 2: field larger than field limit ({limit})"]
+
     def test_non_utf8_csv_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "latin1.csv"
         bad.write_bytes(b"1,2\n3,\xff\n")

@@ -290,7 +290,7 @@ class TestFastParser:
     def test_refuses_a_cell_longer_than_csv_field_limit(self, tmp_path):
         path = write(tmp_path, "1," + "0" * csv.field_size_limit() + "1\n")
         assert _load_fast(path, None, False) is None
-        with pytest.raises(csv.Error):
+        with pytest.raises(InvalidDataError, match="line 1: field larger than field limit"):
             load_dataset(path)
 
 

@@ -392,14 +392,16 @@ class TestSpectrumPath:
 
     @pytest.fixture
     def eigh_shapes(self, monkeypatch):
+        # Every eigh decomposition, the fallbacks' and symmetric_eigen's,
+        # runs through linalg._eigh.
         shapes = []
-        original = linalg.symmetric_eigen
+        original = linalg._eigh
 
-        def recorded(m, **kwargs):
+        def recorded(m):
             shapes.append(np.shape(m))
-            return original(m, **kwargs)
+            return original(m)
 
-        monkeypatch.setattr(linalg, "symmetric_eigen", recorded)
+        monkeypatch.setattr(linalg, "_eigh", recorded)
         return shapes
 
     @needs_library

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import subprocess
@@ -19,7 +20,7 @@ from iescluster.errors import (
     InvalidDataError,
     InvalidParameterError,
 )
-from iescluster import lapack, linalg
+from iescluster import lapack, linalg, njw
 from iescluster.affinity import normalized_laplacian
 from iescluster.eigengap import eigengap_k
 from iescluster.linalg import (
@@ -28,7 +29,7 @@ from iescluster.linalg import (
     symmetric_eigen,
     top_spectrum,
 )
-from iescluster.njw import build_affinity
+from iescluster.njw import build_affinity, spectral_embed
 from iescluster.scaling import (
     estimate_global_sigma,
     estimate_local_sigmas,
@@ -201,10 +202,13 @@ def ritz_residuals(a, x):
 
 
 def no_eigh():
-    """Make any full eigendecomposition fail the test."""
-    return mock.patch.object(
-        linalg, "symmetric_eigen", side_effect=AssertionError("eigh fallback taken")
-    )
+    """Make any eigh decomposition, the fallbacks' included, fail the test."""
+    return mock.patch.object(linalg, "_eigh", side_effect=AssertionError("eigh fallback taken"))
+
+
+def with_diagonal(lap):
+    """``lap`` with a nonzero diagonal, which dsytrd overwrites."""
+    return lap + np.diag(np.linspace(0.5, 1.5, lap.shape[0]))
 
 
 class TestTopSpectrum:
@@ -215,10 +219,7 @@ class TestTopSpectrum:
     @pytest.mark.parametrize("kind", ["global", "local"])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_matches_full_oracle(self, kind, k):
-        lap = nested_laplacian(kind)
-        self.check_against_oracle(lap, k)
-        # The matrix is only read, so the oracle fallback can still use it.
-        assert np.array_equal(lap, nested_laplacian(kind))
+        self.check_against_oracle(nested_laplacian(kind), k)
 
     @needs_library
     def test_twelve_disconnected_groups(self):
@@ -236,16 +237,20 @@ class TestTopSpectrum:
         # lambda_k+1 bounds the cut.
         a = with_spectrum(np.linspace(1.0, -1.0, n) ** 3, seed=n)
         for k in range(1, n + 1):
-            with no_eigh():
-                self.check_against_oracle(a, k)
+            self.check_against_oracle(a, k, eigh=False)
 
     @staticmethod
-    def check_against_oracle(lap, k):
+    def check_against_oracle(lap, k, eigh=True):
         oracle = symmetric_eigen(lap)
-        spec = top_spectrum(lap)
+        spec = top_spectrum(lap.copy())
         assert spec.tridiagonal is not None
         assert np.max(np.abs(spec.values - oracle.values)) <= 1e-12
-        x = spec.top(k)
+        with contextlib.nullcontext() if eigh else no_eigh():
+            x = spec.top(k)
+        # The reflectors took the strict upper triangle; the eigh fallback
+        # reads the lower one, which is the input's.
+        assert np.shares_memory(spec.tridiagonal[0], spec.matrix)
+        assert np.array_equal(np.tril(spec.matrix), np.tril(lap))
         assert x.shape == (lap.shape[0], k)
         p = oracle.vectors[:, :k]
         assert np.linalg.norm(x - p @ (p.T @ x)) <= 1e-10
@@ -262,9 +267,7 @@ class TestTopSpectrum:
     def test_bulk_cuts_match_full_oracle(self, k):
         # Cuts inside the local-scale bulk (gaps 1e-4 to 4e-3), where dormtr
         # applies Q to many columns.
-        lap = nested_laplacian("local")
-        with no_eigh():
-            self.check_against_oracle(lap, k)
+        self.check_against_oracle(nested_laplacian("local"), k, eigh=False)
 
     @needs_library
     @settings(max_examples=25, deadline=None)
@@ -287,7 +290,7 @@ class TestTopSpectrum:
         with no eigh fallback, against the oracle's subspace."""
         n = lap.shape[0]
         oracle = symmetric_eigen(lap)
-        spec = top_spectrum(lap)
+        spec = top_spectrum(lap.copy())
         assert spec.tridiagonal is not None
         assert np.max(np.abs(spec.values - oracle.values)) <= 1e-12
         k = eigengap_k(spec.values).k
@@ -339,29 +342,42 @@ class TestTopSpectrum:
         # lambda_2 - lambda_3 = 1e-15, far below n * eps.
         values = np.concatenate([[1.0, 0.5 + 1e-15, 0.5], np.linspace(0.2, -0.2, 197)])
         a = with_spectrum(values)
-        spec = top_spectrum(a)
+        spec = top_spectrum(a.copy())
         assert spec.tridiagonal is not None
         assert np.array_equal(spec.top(2), symmetric_eigen(a).top(2))
 
     @needs_library
+    def test_tie_fallback_keeps_the_tridiagonal_form(self):
+        # Two groups too far apart to share an affinity: lambda_1 = lambda_2
+        # = 1 ties cut 1, and cut 3 is untied. The eigh fallback at cut 1
+        # must leave the buffer's reflectors for the tridiagonal path at 3.
+        x, _ = separated_blobs([70, 90], spread=1.0, dims=3)
+        lap = normalized_laplacian(build_affinity(pairwise_distances(x), manual_global_sigma(2.0)))
+        spec = top_spectrum(lap.copy())
+        assert linalg._tied_cut(spec.values, 1, None)
+        assert not linalg._tied_cut(spec.values, 3, None)
+        assert np.array_equal(spec.top(1), symmetric_eigen(lap).top(1))
+        assert np.array_equal(spec.top(3), top_spectrum(lap.copy()).top(3))
+
+    @needs_library
     def test_repeatable(self):
         lap = nested_laplacian("global")
-        a, b = top_spectrum(lap), top_spectrum(lap.copy())
+        a, b = top_spectrum(lap.copy()), top_spectrum(lap.copy())
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.top(3), b.top(3))
 
     @needs_library
     def test_failed_inverse_iteration_returns_oracle_bits(self, monkeypatch):
-        lap = nested_laplacian("global")
-        spec = top_spectrum(lap)
+        lap = with_diagonal(nested_laplacian("global"))
+        spec = top_spectrum(lap.copy())
         fail_routine(monkeypatch, "dstein")
         assert np.array_equal(spec.top(2), symmetric_eigen(lap).vectors[:, :2])
 
     @needs_library
     def test_failed_eigenvalues_return_oracle_bits(self, monkeypatch):
-        lap = nested_laplacian("global")
+        lap = with_diagonal(nested_laplacian("global"))
         fail_routine(monkeypatch, "dsterf")
-        spec = top_spectrum(lap)
+        spec = top_spectrum(lap.copy())
         oracle = symmetric_eigen(lap)
         assert spec.tridiagonal is None and spec.matrix is None
         assert np.array_equal(spec.values, oracle.values)
@@ -385,21 +401,29 @@ class TestTopSpectrum:
             assert spec.vectors is not None and spec.matrix is None
 
     def test_symmetry_checked_once(self, monkeypatch):
-        # The n x n symmetry check runs once per spectrum, on every path:
-        # the tridiagonal form, its eigh fallback at a tie, and eigh
-        # without the library.
+        # top_spectrum trusts the chain's matrix and runs no n x n check;
+        # spectral_embed checks an outside matrix once. On every path: the
+        # tridiagonal form, its eigh fallback at a tie, and eigh without
+        # the library.
         tied = normalized_laplacian(ideal_block_affinity([70, 90]))
         calls = []
         check = linalg._symmetric
-        monkeypatch.setattr(linalg, "_symmetric", lambda m: calls.append(1) or check(m))
-        for k in (2, 1):
-            calls.clear()
-            top_spectrum(tied).top(k)
+
+        def counted(m):
+            calls.append(1)
+            return check(m)
+
+        monkeypatch.setattr(linalg, "_symmetric", counted)
+        monkeypatch.setattr(njw, "_symmetric", counted)
+        for blocked in (False, True):
+            if blocked:
+                block_library(monkeypatch)
+            for k in (2, 1):
+                top_spectrum(tied.copy()).top(k)
+                assert calls == []
+            spectral_embed(tied, 2)
             assert len(calls) == 1
-        block_library(monkeypatch)
-        calls.clear()
-        top_spectrum(tied).top(2)
-        assert len(calls) == 1
+            calls.clear()
 
     @pytest.mark.parametrize("n", [5, 1000])
     def test_k_out_of_range(self, n):
@@ -409,12 +433,18 @@ class TestTopSpectrum:
                 spec.top(k)
 
     def test_input_validation_matches_oracle(self):
+        # spectral_embed checks an outside matrix as symmetric_eigen does.
+        # top_spectrum checks only the shape, which keeps LAPACK inside the
+        # buffer.
         a = np.ones((6, 6))
         a[0, 1] = 2.0
         with pytest.raises(InvalidDataError):
-            top_spectrum(a)
-        with pytest.raises(DimensionError):
-            top_spectrum(np.zeros((6, 7)))
+            spectral_embed(a, 2)
+        with pytest.raises(InvalidDataError):
+            spectral_embed([[np.nan, 0.0], [0.0, 1.0]], 1)
+        for spectrum in (lambda m: spectral_embed(m, 2), top_spectrum):
+            with pytest.raises(DimensionError):
+                spectrum(np.zeros((6, 7)))
 
     @staticmethod
     def run_isolated(code):
@@ -516,10 +546,6 @@ class TestCovarianceEigenvalues:
         assert values == pytest.approx(variances, rel=1e-12, abs=1e-12 * variances[0])
         # n points span at most n - 1 directions.
         assert np.all(values[shape[0] - 1 :] <= 1e-12 * values[0])
-
-    def test_single_row_rejected(self):
-        with pytest.raises(InsufficientDataError):
-            covariance_eigenvalues([[1.0, 2.0]])
 
 
 class TestPca:
