@@ -35,9 +35,13 @@ def _coerce_labels(raw: list[str]) -> np.ndarray:
     when every value parses as a finite one (so ``1`` and ``1.0`` are one
     label, and ``2`` sorts before ``10``), else as strings."""
     try:
-        return np.array([int(v) for v in raw])
+        ints = [int(v) for v in raw]
     except ValueError:
         pass
+    else:
+        # numpy makes float64 of a mix of int64- and uint64-only values.
+        values = np.array(ints)
+        return values if values.dtype.kind in "iu" else np.array(ints, dtype=object)
     try:
         values = np.array([float(v) for v in raw])
     except ValueError:

@@ -3,12 +3,15 @@
 Every node re-estimates its scaling parameter from its own member points,
 estimates a cluster count from the eigengap of its normalized Laplacian, and
 either stops (count one) or splits via spectral clustering and recurses on
-the children. Leaves are the final clusters. Nodes are created depth-first,
-children in position order, and each takes its final id as it is created.
+the children. Leaves are the final clusters. That decision is one function,
+``_node_step``, and one driver, ``_build_tree``, grows and times the tree of
+every mode. Nodes are created depth-first, children in position order, and
+each takes its final id as it is created.
 
 Single-round variants live here too: ELS (one pass with local scaling),
 the legacy eigengap baseline (one pass with global scaling), and a plain
-NJW run with a caller-supplied cluster count.
+NJW run with a caller-supplied cluster count. Their root takes the node
+step, and its children are final.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
     IsolatedPointsError,
 )
 from .kmeans import kmeans
-from .linalg import Spectrum, as_matrix, gram_distances
+from .linalg import as_matrix, gram_distances
 from .njw import node_spectrum, row_normalize
 from .scaling import ScalingEstimate, estimate_global_sigma, estimate_local_sigmas
 
@@ -126,45 +129,15 @@ def node_seed(master_seed: int, path: tuple) -> int:
 class _NodeStep:
     """What processing one node decided: a leaf reason or an ordered split.
 
-    ``children`` holds (members, reason) pairs. The reason is None for
-    children that still need processing and a leaf reason for children that
-    are already final (ejected isolated points).
+    ``children`` holds (members, reason) pairs of root indices. The reason is
+    None for children that still need processing and a leaf reason for
+    children that are already final (ejected isolated points).
     """
 
     sigma: ScalingEstimate | None = None
     estimated_k: int | None = None
     leaf_reason: str | None = None
     children: list[tuple[np.ndarray, str | None]] = field(default_factory=list)
-
-
-def _split_spectrum(
-    eig: Spectrum,
-    sigma: ScalingEstimate,
-    config: IesConfig,
-    seed: int,
-    k_override: int | None = None,
-) -> _NodeStep:
-    """Eigengap through k-means for one node's spectrum.
-
-    Member arrays inside the returned step index into the node's points;
-    the caller translates them back to root indices.
-    """
-    if k_override is None:
-        k = eigengap_k(eig.values, config.search_fraction).k
-    else:
-        k = k_override
-    if k == 1:
-        reason = LEAF_EIGENGAP_ONE if k_override is None else LEAF_SINGLE_PASS
-        return _NodeStep(sigma=sigma, estimated_k=1, leaf_reason=reason)
-    try:
-        embedding = row_normalize(eig.top(k))
-    except DegenerateEmbeddingError:
-        return _NodeStep(sigma=sigma, estimated_k=k, leaf_reason=LEAF_DEGENERATE)
-    km = kmeans(embedding, k, seed)
-    if km.n_clusters <= 1:
-        return _NodeStep(sigma=sigma, estimated_k=k, leaf_reason=LEAF_SPLIT_COLLAPSE)
-    children = [(np.nonzero(km.assignments == c)[0], None) for c in range(km.n_clusters)]
-    return _NodeStep(sigma=sigma, estimated_k=k, children=children)
 
 
 def _node_step(
@@ -176,13 +149,14 @@ def _node_step(
     k_override: int | None = None,
     sigma: ScalingEstimate | None = None,
 ) -> _NodeStep:
-    """Scale, spectrum, eigengap and split for one set of member points.
+    """One node's decision: scale, spectrum, eigengap, embedding, k-means.
 
     The node computes one distance matrix, ``gram_distances``: a local
     scale is read from it and certified against the points, and
     ``node_spectrum`` turns it into the Laplacian in place. ``sigma``, when
-    given, replaces the node's own scale estimate. Child member arrays of
-    the returned step are root indices.
+    given, replaces the node's own scale estimate, and ``k_override`` the
+    eigengap's count. Points the Laplacian cannot normalize are ejected as
+    isolated singletons beside the rest, which still needs processing.
     """
     sub = data[members]
     if np.all(sub == sub[0]):
@@ -197,48 +171,51 @@ def _node_step(
         except DegenerateDataError:
             return _NodeStep(leaf_reason=LEAF_DEGENERATE)
     try:
-        step = _split_spectrum(
-            node_spectrum(distances, sigma, config.distance_exponent),
-            sigma, config, seed, k_override,
-        )
+        eig = node_spectrum(distances, sigma, config.distance_exponent)
     except IsolatedPointsError as err:
         iso = np.asarray(err.indices, dtype=int)
         rest = np.setdiff1d(np.arange(sub.shape[0]), iso)
-        children = [(np.array([i]), LEAF_ISOLATED) for i in iso]
+        children = [(members[[i]], LEAF_ISOLATED) for i in iso]
         if rest.size:
-            children.append((rest, None))
-        step = _NodeStep(sigma=sigma, children=children)
-    step.children = [(members[idx], reason) for idx, reason in step.children]
-    return step
-
-
-def _process_node(
-    data: np.ndarray,
-    members: np.ndarray,
-    depth: int,
-    mode: str,
-    config: IesConfig,
-    seed: int,
-) -> _NodeStep:
-    """One tree node: the size and depth gates, then the node step."""
-    if members.shape[0] < config.min_node_size:
-        return _NodeStep(leaf_reason=LEAF_MIN_SIZE)
-    if depth >= config.depth_cap:
-        return _NodeStep(leaf_reason=LEAF_DEPTH_CAP)
-    return _node_step(data, members, mode, config, seed)
+            children.append((members[rest], None))
+        return _NodeStep(sigma=sigma, children=children)
+    k = eigengap_k(eig.values, config.search_fraction).k if k_override is None else k_override
+    if k == 1:
+        reason = LEAF_EIGENGAP_ONE if k_override is None else LEAF_SINGLE_PASS
+        return _NodeStep(sigma, 1, reason)
+    try:
+        embedding = row_normalize(eig.top(k))
+    except DegenerateEmbeddingError:
+        return _NodeStep(sigma, k, LEAF_DEGENERATE)
+    km = kmeans(embedding, k, seed)
+    if km.n_clusters <= 1:
+        return _NodeStep(sigma, k, LEAF_SPLIT_COLLAPSE)
+    children = [(members[km.assignments == c], None) for c in range(km.n_clusters)]
+    return _NodeStep(sigma, k, children=children)
 
 
 def _build_tree(
-    n: int, process: Callable[[tuple, np.ndarray, int], _NodeStep]
-) -> tuple[list[ClusterTreeNode], np.ndarray]:
-    """Grow the tree depth-first from a root over all n points; return its
-    nodes and every point's leaf id.
+    data,
+    mode_label: str,
+    master_seed: int,
+    process: Callable[[np.ndarray, tuple, np.ndarray, int], _NodeStep],
+) -> ClusteringOutcome:
+    """Validate the data, grow its tree depth-first from a root over every
+    point, and return the timed outcome; every mode runs through here.
 
-    ``process(path, members, depth)`` decides each node that is not already
-    final. Each node takes the next id as it is created, and children are
-    pushed in reverse so they pop in position order: the ids are the
-    depth-first numbering over child positions, with no renumbering pass.
+    ``process(x, path, members, depth)`` decides each node that is not
+    already final, on the validated data ``x``. Each node takes the next id
+    as it is created, and children are pushed in reverse so they pop in
+    position order: the ids are the depth-first numbering over child
+    positions, with no renumbering pass.
     """
+    x = np.asarray(data, dtype=float)
+    if x.size == 0:
+        raise InvalidDataError("empty dataset")
+    x = as_matrix(x)
+    n = x.shape[0]
+
+    start = time.perf_counter()
     nodes: list[ClusterTreeNode] = []
     assignments = np.full(n, -1, dtype=int)
     stack = [((), np.arange(n), 0, None, None)]
@@ -252,7 +229,7 @@ def _build_tree(
             nodes[parent_id].children.append(node.id)
         children = []
         if final_reason is None:
-            step = process(path, members, depth)
+            step = process(x, path, members, depth)
             node.sigma, node.estimated_k = step.sigma, step.estimated_k
             node.leaf_reason, children = step.leaf_reason, step.children
         if not children:
@@ -260,14 +237,8 @@ def _build_tree(
         for pos in reversed(range(len(children))):
             child, reason = children[pos]
             stack.append((path + (pos,), child, depth + 1, node.id, reason))
-    return nodes, assignments
-
-
-def _validated_data(data) -> np.ndarray:
-    x = np.asarray(data, dtype=float)
-    if x.size == 0:
-        raise InvalidDataError("empty dataset")
-    return as_matrix(x)
+    runtime_ms = (time.perf_counter() - start) * 1000.0
+    return ClusteringOutcome(nodes, assignments, mode_label, runtime_ms, master_seed)
 
 
 def ies_cluster(
@@ -280,31 +251,26 @@ def ies_cluster(
     """Depth-first divisive search; leaves are the final clusters.
 
     ``mode`` selects per-node scaling: "global" (PCA-based) or "local"
-    (k-nearest-neighbor). ``n_workers`` is accepted and ignored: every node
-    runs on the calling thread. It stays because the benchmark's threaded
-    operation still passes it. A thread pool over the nodes of a level won
-    on no benchmark workload, because the eigensolve and every node's Gram
-    distance product already keep every core busy in BLAS, and it was
-    the slowest path on 200-feature data. Each node's seed derives from its
-    path, so no result depends on the traversal order, and nodes are created
-    depth-first in their final numbering.
+    (k-nearest-neighbor). A node below ``min_node_size`` points or at
+    ``depth_cap`` is a leaf; any other takes the node step. Each node's seed
+    derives from its path, so no result depends on the traversal order.
+    ``n_workers`` is accepted and ignored: every node runs on the calling
+    thread. It stays because the benchmark's threaded operation still
+    passes it.
     """
     if mode not in ("global", "local"):
         raise InvalidParameterError(f"mode must be 'global' or 'local', got {mode!r}")
     config = config or IesConfig()
-    x = _validated_data(data)
-    n = x.shape[0]
 
-    start = time.perf_counter()
-    nodes, assignments = _build_tree(
-        n,
-        lambda path, members, depth: _process_node(
-            x, members, depth, mode, config, node_seed(master_seed, path)
-        ),
-    )
-    runtime_ms = (time.perf_counter() - start) * 1000.0
+    def process(x, path, members, depth):
+        if members.shape[0] < config.min_node_size:
+            return _NodeStep(leaf_reason=LEAF_MIN_SIZE)
+        if depth >= config.depth_cap:
+            return _NodeStep(leaf_reason=LEAF_DEPTH_CAP)
+        return _node_step(x, members, mode, config, node_seed(master_seed, path))
+
     label = "ies-global" if mode == "global" else "ies-local"
-    return ClusteringOutcome(nodes, assignments, label, runtime_ms, master_seed)
+    return _build_tree(data, label, master_seed, process)
 
 
 def _single_round(
@@ -322,46 +288,42 @@ def _single_round(
     the remainder, with the seed of path ``(round_index,)``, still attaching
     every final cluster directly to the root (the tree stays depth one).
     """
-    x = _validated_data(data)
-    n = x.shape[0]
-    if n < 2:
-        raise InsufficientDataError(f"single-round modes need at least 2 points, got {n}")
 
-    start = time.perf_counter()
-    root = _NodeStep()
-    members = np.arange(n)
-    for round_index in itertools.count():
-        step = _node_step(
-            x, members, scaling_mode, config, node_seed(master_seed, (round_index,)),
-            k_override, sigma,
-        )
-        if root.sigma is None:
-            root.sigma = step.sigma
-        if root.estimated_k is None:
-            root.estimated_k = step.estimated_k
-        if step.leaf_reason is not None:
-            if round_index == 0:
-                # Nothing split off: the root itself is the single cluster.
-                root.leaf_reason = step.leaf_reason
-            else:
-                root.children.append((members, step.leaf_reason))
-            break
-        # After a regular split every part is a final cluster of the one-pass
-        # tree; after an ejection the isolated singletons are, and the round
-        # reruns on the rest.
-        ejecting = any(reason == LEAF_ISOLATED for _, reason in step.children)
-        members = None
-        for child, reason in step.children:
-            if ejecting and reason is None:
-                members = child
-            else:
-                root.children.append((child, reason or LEAF_SINGLE_PASS))
-        if members is None:
-            break
+    def process_root(x, path, members, depth):
+        n = members.shape[0]
+        if n < 2:
+            raise InsufficientDataError(f"single-round modes need at least 2 points, got {n}")
+        root = _NodeStep()
+        for round_index in itertools.count():
+            step = _node_step(
+                x, members, scaling_mode, config,
+                node_seed(master_seed, (round_index,)), k_override, sigma,
+            )
+            if root.sigma is None:
+                root.sigma = step.sigma
+            if root.estimated_k is None:
+                root.estimated_k = step.estimated_k
+            if step.leaf_reason is not None:
+                if round_index == 0:
+                    # Nothing split off: the root itself is the single cluster.
+                    root.leaf_reason = step.leaf_reason
+                else:
+                    root.children.append((members, step.leaf_reason))
+                return root
+            # After a regular split every part is a final cluster of the
+            # one-pass tree; after an ejection the isolated singletons are,
+            # and the round reruns on the rest.
+            ejecting = any(reason == LEAF_ISOLATED for _, reason in step.children)
+            members = None
+            for child, reason in step.children:
+                if ejecting and reason is None:
+                    members = child
+                else:
+                    root.children.append((child, reason or LEAF_SINGLE_PASS))
+            if members is None:
+                return root
 
-    nodes, assignments = _build_tree(n, lambda *_: root)
-    runtime_ms = (time.perf_counter() - start) * 1000.0
-    return ClusteringOutcome(nodes, assignments, mode_label, runtime_ms, master_seed)
+    return _build_tree(data, mode_label, master_seed, process_root)
 
 
 def els_cluster(

@@ -202,14 +202,16 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> KMeansResu
     history: list[float] = []
     iterations = 0
     converged = False
-    while iterations < _MAX_ITER:
-        iterations += 1
+    while True:
         assign = _nearest(x, centroids, x_sq)
         history.append(_sse(x, assign, centroids))
         if __debug__ and len(history) >= 2:
             assert history[-1] <= history[-2] * (1 + 1e-12) + 1e-12
-
         counts = np.bincount(assign, minlength=centroids.shape[0])
+        if converged or iterations == _MAX_ITER:
+            break
+
+        iterations += 1
         means = cluster_means(x, assign, counts)
         if not counts.all():
             # Dropping empty clusters changes the centroid count; keep going.
@@ -217,13 +219,8 @@ def _lloyd(x: np.ndarray, centroids: np.ndarray, x_sq: np.ndarray) -> KMeansResu
             continue
         movement = float(np.max(np.sqrt(np.sum((means - centroids) ** 2, axis=1))))
         centroids = means
-        if movement < _TOL:
-            converged = True
-            break
+        converged = movement < _TOL
 
-    assign = _nearest(x, centroids, x_sq)
-    history.append(_sse(x, assign, centroids))
-    counts = np.bincount(assign, minlength=centroids.shape[0])
     keep = np.nonzero(counts > 0)[0]
     remap = np.full(centroids.shape[0], -1, dtype=int)
     remap[keep] = np.arange(keep.size)

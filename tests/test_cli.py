@@ -644,6 +644,26 @@ class TestReportLabels:
         labels = np.array([float(c) for c in cells])
         self.check_metrics(report["metrics"], report["assignments"], labels)
 
+    def test_int_labels_beyond_int64_stay_distinct(self, tmp_path):
+        # 2**63 and 2**63 + 1 fit only uint64, and 1 fits int64: numpy would
+        # put the three in one float64 array and merge the two large ones.
+        big = 2**63
+        rng = np.random.default_rng(3)
+        features = np.vstack([rng.normal(c, 0.2, (3, 2)) for c in (0, 10, 20)])
+        cells = [big] * 3 + [big + 1] * 3 + [1] * 3
+        data = tmp_path / "big.csv"
+        rows = [f"{x!r},{y!r},{c}" for (x, y), c in zip(features.tolist(), cells)]
+        data.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "report.json"
+        code = main([
+            "run", "--mode", "els", "--input", str(data),
+            "--label-col", "2", "--output", str(out),
+        ])
+        assert code == 0
+        label_ids = json.loads(out.read_text())["metrics"]["association"]["label_ids"]
+        assert label_ids == [1, big, big + 1]
+        assert all(type(v) is int for v in label_ids)
+
     def test_float_labels(self, tmp_path):
         # Float labels from a Dataset built in memory; the report is written
         # as the CLI writes it.

@@ -14,7 +14,12 @@ import iescluster.njw as njw_module
 import iescluster.validation as validation_module
 from iescluster import lapack, linalg
 from iescluster.eigengap import eigengap_k
-from iescluster.errors import InsufficientDataError, InvalidDataError, InvalidParameterError
+from iescluster.errors import (
+    DegenerateEmbeddingError,
+    InsufficientDataError,
+    InvalidDataError,
+    InvalidParameterError,
+)
 from iescluster.ies import (
     IesConfig,
     els_cluster,
@@ -23,6 +28,7 @@ from iescluster.ies import (
     njw_outcome,
     node_seed,
 )
+from iescluster.kmeans import KMeansResult
 from iescluster.njw import njw_cluster
 from iescluster.scaling import ScalingEstimate, estimate_global_sigma, manual_global_sigma
 from iescluster.synth import nested_scale_dataset
@@ -143,19 +149,21 @@ class TestIesTree:
     def test_workers_ignored_every_node_on_calling_thread(self, monkeypatch):
         ds = nested_scale_dataset(n_per_group=60, seed=5)
         threads = []
-        original = ies_module._process_node
+        original = ies_module._node_step
 
-        def recorded(x, members, *args):
+        def recorded(*args, **kwargs):
             threads.append(threading.get_ident())
-            return original(x, members, *args)
+            return original(*args, **kwargs)
 
-        monkeypatch.setattr(ies_module, "_process_node", recorded)
+        monkeypatch.setattr(ies_module, "_node_step", recorded)
+        gated = ("isolated", "min-size", "depth-cap")
         for mode in ("global", "local"):
             seq = ies_cluster(ds.features, mode, master_seed=0, n_workers=1)
             threads.clear()
             par = ies_cluster(ds.features, mode, master_seed=0, n_workers=4)
-            # Every node but the ejected singletons goes through the node step.
-            assert len(threads) == sum(n.leaf_reason != "isolated" for n in par.nodes)
+            # Every node past the size and depth gates, and not an ejected
+            # singleton, goes through the node step.
+            assert len(threads) == sum(n.leaf_reason not in gated for n in par.nodes)
             assert set(threads) == {threading.get_ident()}
             assert np.array_equal(seq.leaf_assignments, par.leaf_assignments)
             assert [(a.id, a.children, a.leaf_reason) for a in seq.nodes] == [
@@ -301,6 +309,73 @@ class TestSingleRoundModes:
         data = rng.normal(0, 1, (8, 2))
         out = njw_outcome(data, 1, master_seed=0)
         assert out.n_clusters == 1
+
+
+class TestNodeStepExits:
+    """Every way one node's step can end, in the tree and the one-round modes."""
+
+    @pytest.mark.parametrize("run", [
+        lambda x: ies_cluster(x, "global", master_seed=0),
+        lambda x: els_cluster(x, master_seed=0),
+    ])
+    def test_split_collapse(self, monkeypatch, run):
+        def one_cluster(embedding, k, seed):
+            n = embedding.shape[0]
+            return KMeansResult(
+                np.zeros(n, dtype=int), embedding.mean(axis=0, keepdims=True),
+                0.0, 1, True,
+            )
+
+        monkeypatch.setattr(ies_module, "kmeans", one_cluster)
+        data, _ = separated_blobs((20, 20), separation=50.0, spread=0.1, seed=1)
+        out = run(data)
+        assert len(out.nodes) == 1
+        assert out.root.leaf_reason == "split-collapse"
+        assert out.root.estimated_k == 2
+        assert out.root.sigma is not None
+
+    @pytest.mark.parametrize("run", [
+        lambda x: ies_cluster(x, "local", master_seed=0),
+        lambda x: legacy_eigengap_cluster(x, master_seed=0),
+    ])
+    def test_zero_embedding_is_degenerate_with_k(self, monkeypatch, run):
+        def zero_rows(embedding):
+            raise DegenerateEmbeddingError("rows are numerically zero")
+
+        monkeypatch.setattr(ies_module, "row_normalize", zero_rows)
+        data, _ = separated_blobs((20, 20), separation=50.0, spread=0.1, seed=1)
+        out = run(data)
+        assert len(out.nodes) == 1
+        assert out.root.leaf_reason == "degenerate"
+        assert out.root.estimated_k == 2
+        assert out.root.sigma is not None
+
+    @pytest.mark.parametrize("run", [
+        lambda x: ies_cluster(x, "global", IesConfig(min_node_size=2), master_seed=0),
+        lambda x: legacy_eigengap_cluster(x, IesConfig(min_node_size=2), master_seed=0),
+    ])
+    def test_zero_variance_is_degenerate_without_k(self, run):
+        # Distinct points whose variance underflows: PCA finds no scale.
+        out = run(np.array([[0.0], [1e-170], [2e-170], [3e-170]]))
+        assert len(out.nodes) == 1
+        assert out.root.leaf_reason == "degenerate"
+        assert out.root.estimated_k is None
+        assert out.root.sigma is None
+
+    def test_ejection_with_no_rest(self):
+        # At sigma^2 = 1 every affinity underflows: all three points are
+        # ejected at once and no round follows.
+        sigma = manual_global_sigma(1.0)
+        out = legacy_eigengap_cluster(
+            np.array([[0.0], [100.0], [200.0]]), master_seed=0, sigma=sigma
+        )
+        assert_valid_tree(out, 3)
+        assert out.root.leaf_reason is None
+        assert out.root.sigma == sigma
+        assert out.root.estimated_k is None
+        children = [out.nodes[i] for i in out.root.children]
+        assert [(c.depth, c.leaf_reason) for c in children] == [(1, "isolated")] * 3
+        assert [c.member_indices.tolist() for c in children] == [[0], [1], [2]]
 
 
 @pytest.fixture
