@@ -32,8 +32,9 @@ class Dataset:
 
 def _coerce_labels(raw: list[str]) -> np.ndarray:
     """Keep labels as ints when every value parses as one, else as floats
-    when every value parses as a finite one (so ``1`` and ``1.0`` are one
-    label, and ``2`` sorts before ``10``), else as strings."""
+    when every value parses as a finite one that keeps each integer label's
+    value (so ``1`` and ``1.0`` are one label, and ``2`` sorts before
+    ``10``), else as strings."""
     try:
         ints = [int(v) for v in raw]
     except ValueError:
@@ -43,10 +44,16 @@ def _coerce_labels(raw: list[str]) -> np.ndarray:
         values = np.array(ints)
         return values if values.dtype.kind in "iu" else np.array(ints, dtype=object)
     try:
-        values = np.array([float(v) for v in raw])
+        floats = [float(v) for v in raw]
     except ValueError:
         return np.array(raw, dtype=object)
-    return values if np.all(np.isfinite(values)) else np.array(raw, dtype=object)
+    # Python compares int and float exactly: an integer label above 2**53
+    # that float rounds would merge with its neighbours.
+    if all(f == int(v) for v, f in zip(raw, floats) if _is_int(v)):
+        values = np.array(floats)
+        if np.all(np.isfinite(values)):
+            return values
+    return np.array(raw, dtype=object)
 
 
 def load_dataset(path, label_column=None, has_header: bool = False) -> Dataset:

@@ -21,6 +21,13 @@ largest-magnitude entry positive. Two functions build one:
   ``np.linalg.eigh`` reads: without that library, and at the fallbacks
   ``Spectrum.top`` lists, it is ``symmetric_eigen`` without the checks.
 
+A matrix whose exact nonzero pattern falls into connected components is
+block-diagonal once its points are ordered by component, and its spectrum
+is the union of its blocks'. ``components`` labels them, ``pack_blocks``
+moves each block into the front of the matrix's own buffer, and
+``BlockSpectrum`` merges the blocks' spectra behind ``Spectrum``'s
+``values`` and ``top(k)``; ``njw.laplacian_spectrum`` drives the three.
+
 The global scale σ² needs the covariance eigenvalues and nothing else:
 ``covariance_eigenvalues`` takes them with ``eigvalsh`` on the smaller of
 the m x m covariance and the n x n Gram matrix of the centered rows.
@@ -70,6 +77,8 @@ _GRAM_TAU = 2.0**-20
 _GRAM_ROWS = 256
 # Differences per gather of pair_squared_distances (1 MB of float64).
 _PAIR_ELEMENTS = 2**17
+# Rows per read of components' frontier search and per move of pack_blocks.
+_CHUNK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -105,8 +114,9 @@ class Spectrum:
         # tie inside [1, k) alone is kept on this path: the subspace is
         # determined but its basis is not, so k-means may split the node, or
         # number its children and so seed them, otherwise than on eigh's
-        # basis. The 1200-point local-scale roots of the benchmark tie there
-        # (λ₁ = λ₂ = 1) but not at k, and a wider rule would send them to eigh.
+        # basis. A wider rule would send to eigh every block whose λ = 1 is
+        # nearly double; the exact double of two components never reaches
+        # here, as each is a block of its own (njw.laplacian_spectrum).
         if not _tied_cut(self.values, k, k_min):
             vectors = _tridiagonal_top(self.tridiagonal, self.values, k)
             if vectors is not None:
@@ -217,6 +227,126 @@ def top_spectrum(a: np.ndarray) -> Spectrum:
         if values is not None:
             return Spectrum(values=values[::-1].copy(), matrix=a, tridiagonal=tridiagonal)
     return _eigh(a)
+
+
+def components(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """Connected components of the exact nonzero pattern of a symmetric
+    ``a``: each point's label and the count. Labels follow the components'
+    first members, so point 0 is in component 0.
+
+    A frontier search from each component's first member reads the rows of
+    the points it reaches, ``_CHUNK_ROWS`` at a time, and stops once every
+    point is labelled: a connected node whose first row has no zero off
+    the diagonal costs one row.
+    """
+    n = a.shape[0]
+    labels = np.full(n, -1, dtype=np.intp)
+    count = labelled = 0
+    while labelled < n:
+        first = int(np.argmax(labels < 0))
+        labels[first] = count
+        labelled += 1
+        frontier = np.array([first])
+        while frontier.size and labelled < n:
+            reached = []
+            for r0 in range(0, frontier.size, _CHUNK_ROWS):
+                hit = np.any(a[frontier[r0 : r0 + _CHUNK_ROWS]], axis=0)
+                new = np.flatnonzero(hit & (labels < 0))
+                labels[new] = count
+                labelled += new.size
+                reached.append(new)
+                if labelled == n:
+                    break
+            frontier = np.concatenate(reached)
+        count += 1
+    return labels, count
+
+
+def pack_blocks(
+    a: np.ndarray, labels: np.ndarray, count: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Each component's members, ascending, and its block
+    ``a[np.ix_(members, members)]`` as a C-contiguous view of ``a``'s own
+    buffer, for the C-ordered ``a`` that ``components`` labelled. ``a`` is
+    overwritten: block C fills the next n_C² entries of the buffer.
+
+    The rows are first permuted in place into component order, cycle by
+    cycle with one row of scratch. Then each block's columns are gathered,
+    ``_CHUNK_ROWS`` rows at a time, into the front of the buffer. Blocks
+    before C take sum n_B² <= sum n_B n entries, so block C's first i rows
+    end before its source row i starts: no row is overwritten before it is
+    read.
+    """
+    n = a.shape[0]
+    order = np.argsort(labels, kind="stable")
+    row = np.empty(n)
+    moved = order != np.arange(n)
+    for r in np.flatnonzero(moved):
+        if not moved[r]:
+            continue
+        row[:] = a[r]
+        j = r
+        while order[j] != r:
+            a[j] = a[order[j]]
+            moved[j] = False
+            j = order[j]
+        a[j] = row
+        moved[j] = False
+    flat = a.reshape(-1)
+    members = np.split(order, np.cumsum(np.bincount(labels, minlength=count))[:-1])
+    blocks = []
+    start = offset = 0
+    for m in members:
+        size = m.size
+        block = flat[offset : offset + size * size].reshape(size, size)
+        for r0 in range(0, size, _CHUNK_ROWS):
+            r1 = min(r0 + _CHUNK_ROWS, size)
+            block[r0:r1] = a[start + r0 : start + r1][:, m]
+        blocks.append(block)
+        start, offset = start + size, offset + size * size
+    return members, blocks
+
+
+@dataclass(frozen=True)
+class BlockSpectrum:
+    """The spectrum of a permuted block-diagonal matrix from its blocks':
+    ``values`` is the union of theirs, descending, and ``owner[i]`` is the
+    block that the i-th eigenvector comes from; block b spans the rows
+    ``members[b]``. Numerically equal values (within ``n * eps * max|λ|``
+    of the one before, the tolerance of ``_tied_cut``) go in block order,
+    so the order of the blocks' λ = 1 does not hang on their last bits."""
+
+    values: np.ndarray
+    owner: np.ndarray
+    members: list[np.ndarray]
+    blocks: list[Spectrum]
+
+    @classmethod
+    def merge(cls, members: list[np.ndarray], blocks: list[Spectrum]) -> "BlockSpectrum":
+        values = np.concatenate([b.values for b in blocks])
+        owner = np.repeat(np.arange(len(blocks)), [b.values.size for b in blocks])
+        order = np.argsort(-values, kind="stable")
+        values, owner = values[order], owner[order]
+        tol = values.size * _EPS * np.max(np.abs(values))
+        runs = np.concatenate(([0], np.cumsum(values[:-1] - values[1:] > tol)))
+        # Stable sorts keep each block's own order within a run.
+        return cls(values, owner[np.lexsort((owner, runs))], members, blocks)
+
+    def top(self, k: int, k_min: int | None = None) -> np.ndarray:
+        """``Spectrum.top`` of the whole matrix, with the same arguments.
+        Each block fills the columns it owns among the first k with its own
+        top vectors, on its rows, by its own ``Spectrum.top`` over the cuts
+        that fall in it; every other entry is zero."""
+        n = self.values.shape[0]
+        if not 1 <= k <= n:
+            raise InvalidParameterError(f"k={k} out of range [1, {n}]")
+        vectors = np.zeros((n, k))
+        for b, (members, block) in enumerate(zip(self.members, self.blocks)):
+            cols = np.flatnonzero(self.owner[:k] == b)
+            if cols.size:
+                low = None if k_min is None else max(1, int(np.sum(self.owner[:k_min] == b)))
+                vectors[np.ix_(members, cols)] = block.top(cols.size, low)
+        return vectors
 
 
 def covariance_eigenvalues(x: np.ndarray) -> np.ndarray:

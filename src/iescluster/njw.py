@@ -1,6 +1,10 @@
 """Spectral clustering pipeline: distances -> affinity -> normalized Laplacian,
 in one buffer -> row-normalized top-k eigenvectors -> k-means on them.
 
+The Laplacian's spectrum comes from that buffer too: whole when its nonzero
+pattern is connected, else block by block, one block per component, packed
+into the buffer (``laplacian_spectrum``).
+
 Every caller starts the chain from ``gram_distances``, one BLAS product with
 a proven bound and the exact form as its fallback, whatever the scaling
 kind: a global scale reaches the distances only through
@@ -14,7 +18,15 @@ import numpy as np
 from .affinity import affinity_global, affinity_local, normalized_laplacian
 from .errors import DegenerateEmbeddingError, InvalidParameterError
 from .kmeans import kmeans
-from .linalg import Spectrum, _symmetric, gram_distances, top_spectrum
+from .linalg import (
+    BlockSpectrum,
+    Spectrum,
+    _symmetric,
+    components,
+    gram_distances,
+    pack_blocks,
+    top_spectrum,
+)
 from .scaling import ScalingEstimate
 
 # Row norms this far below the largest row are treated as numerically zero.
@@ -53,18 +65,36 @@ def row_normalize(vectors: np.ndarray) -> np.ndarray:
 
 def node_spectrum(
     distances, scaling: ScalingEstimate, distance_exponent: int = 2
-) -> Spectrum:
+) -> Spectrum | BlockSpectrum:
     """The one spectral chain, behind the IES node step, NJW and the elbow
     sweep: ``distances = gram_distances(x)`` becomes the
     affinity and then the normalized Laplacian in place, the spectrum's
-    ``matrix``.
+    ``matrix``, or the buffer its blocks are packed in.
 
     It returns every eigenvalue; the top eigenvectors come from the result's
-    ``top(k)`` (see ``top_spectrum``). Isolated-point errors propagate.
+    ``top(k)`` (see ``laplacian_spectrum``). Isolated-point errors propagate.
     """
-    return top_spectrum(
+    return laplacian_spectrum(
         normalized_laplacian(build_affinity(distances, scaling, distance_exponent))
     )
+
+
+def laplacian_spectrum(laplacian: np.ndarray) -> Spectrum | BlockSpectrum:
+    """``top_spectrum`` of the chain's Laplacian buffer, or, where its exact
+    nonzero pattern falls into components, of each block, packed into that
+    buffer (``pack_blocks``), with the values merged (``BlockSpectrum``).
+
+    The spectrum of a block-diagonal matrix is the union of its blocks',
+    and its eigenvalue 1 has one eigenvector D^½ 1_C per component C (von
+    Luxburg 2007, §3, Propositions 2 and 4): so the blocks cost sum n_C³
+    where the whole matrix costs n³, and λ = 1 takes the components' own
+    basis. A connected Laplacian goes to ``top_spectrum`` as it is.
+    """
+    labels, count = components(laplacian)
+    if count == 1:
+        return top_spectrum(laplacian)
+    members, blocks = pack_blocks(laplacian, labels, count)
+    return BlockSpectrum.merge(members, [top_spectrum(block) for block in blocks])
 
 
 def spectral_embed(laplacian, k: int) -> np.ndarray:

@@ -45,6 +45,13 @@ class TestLoadDataset:
         path = write(tmp_path, f"0,1\n1,1.0\n2,{cell}\n")
         assert load_dataset(path, label_column=1).labels.tolist() == ["1", "1.0", cell]
 
+    def test_integer_labels_above_2_53_beside_a_float_stay_distinct(self, tmp_path):
+        # float() rounds both large integers to 9.007199254740992e+15.
+        path = write(tmp_path, "0,9007199254740993\n1,9007199254740992\n2,1.5\n")
+        labels = load_dataset(path, label_column=1).labels
+        assert labels.tolist() == ["9007199254740993", "9007199254740992", "1.5"]
+        assert len(set(labels.tolist())) == 3
+
     def test_negative_label_index(self, tmp_path):
         path = write(tmp_path, "1,2,7\n3,4,8\n")
         ds = load_dataset(path, label_column=-1)

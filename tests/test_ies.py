@@ -550,17 +550,21 @@ class TestTreeOracle:
         shipped = ies_cluster(data, mode, master_seed=0)
         spectra = []
 
-        def oracle(m):
-            spec = linalg.symmetric_eigen(m)
+        def recorded(*args):
+            spec = njw_module.node_spectrum(*args)
             spectra.append(spec.values)
             return spec
 
-        with mock.patch.object(njw_module, "top_spectrum", oracle):
+        # Every block of a disconnected node goes through top_spectrum too;
+        # the tie is read from the node's whole spectrum, the blocks' merged.
+        with mock.patch.object(njw_module, "top_spectrum", linalg.symmetric_eigen), \
+                mock.patch.object(ies_module, "node_spectrum", recorded):
             reference = ies_cluster(data, mode, master_seed=0)
         same = partition_of(shipped.leaf_assignments) == partition_of(reference.leaf_assignments)
         # Otherwise some node's top eigenspace must be tied inside the cuts
-        # it uses, where the matrix does not determine its basis, on which
-        # the node's k-means and its children's numbering and seeds depend.
+        # it uses, where the matrix does not determine its basis (its
+        # components give the basis of λ = 1), on which the node's k-means
+        # and its children's numbering and seeds depend.
         assert same or any(tied_inside_top_k(values) for values in spectra)
 
 

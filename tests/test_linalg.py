@@ -24,12 +24,15 @@ from iescluster import lapack, linalg, njw
 from iescluster.affinity import normalized_laplacian
 from iescluster.eigengap import eigengap_k
 from iescluster.linalg import (
+    BlockSpectrum,
+    components,
     covariance_eigenvalues,
+    pack_blocks,
     pairwise_distances,
     symmetric_eigen,
     top_spectrum,
 )
-from iescluster.njw import build_affinity, spectral_embed
+from iescluster.njw import build_affinity, laplacian_spectrum, spectral_embed
 from iescluster.scaling import (
     estimate_global_sigma,
     estimate_local_sigmas,
@@ -503,6 +506,227 @@ class TestTopSpectrum:
         # A shared library that links no LAPACK, and a file that is none.
         assert lapack._open(Path(ctypes_module.__file__)) is None
         assert lapack._open(Path(__file__)) is None
+
+
+def union_find_components(a):
+    """Slow oracle of ``components``: union-find over every nonzero pair,
+    labels numbered by each component's first member."""
+    n = a.shape[0]
+    parent = list(range(n))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if a[i, j] != 0:
+                parent[root(i)] = root(j)
+    first = {}
+    labels = [first.setdefault(root(i), len(first)) for i in range(n)]
+    return np.array(labels), len(first)
+
+
+def block_pattern(labels, seed=0):
+    """A symmetric matrix with zero diagonal whose entries are nonzero
+    exactly between distinct points of one label."""
+    x = np.random.default_rng(seed).uniform(0.5, 1.5, (labels.size,) * 2)
+    a = (x + x.T) * (labels[:, None] == labels[None, :])
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def broom_graph(leaves, handle):
+    """A star of ``leaves`` leaves on point 0, with a path of ``handle``
+    points hanging off its last leaf: the second frontier is wider than one
+    chunk, and only its last row leads on."""
+    n = 1 + leaves + handle
+    a = np.zeros((n, n))
+    a[0, 1 : leaves + 1] = 1.0
+    a[np.arange(leaves, n - 1), np.arange(leaves + 1, n)] = 1.0
+    return a + a.T
+
+
+def path_graph(n):
+    """The path 0 - 1 - ... - n-1 with its points in a shuffled order:
+    diameter n - 1, one new point per frontier."""
+    p = np.random.default_rng(n).permutation(n)
+    a = np.zeros((n, n))
+    a[p[:-1], p[1:]] = a[p[1:], p[:-1]] = 1.0
+    return a
+
+
+class TestComponents:
+    @pytest.mark.parametrize(
+        "a",
+        [
+            path_graph(300),
+            broom_graph(400, 30),
+            # Size-2 components: each point and its mirror.
+            block_pattern(np.minimum(np.arange(40), 39 - np.arange(40))),
+            # Interleaved members, components wider than one frontier chunk.
+            block_pattern(np.arange(900) % 3),
+            block_pattern(np.zeros(50, dtype=int)),
+            # Isolated points are components of their own.
+            block_pattern(np.array([0, 1, 0, 2, 3, 3])),
+        ],
+        ids=["path", "broom", "pairs", "interleaved", "connected", "singletons"],
+    )
+    def test_matches_union_find(self, a):
+        labels, count = components(a)
+        expected, expected_count = union_find_components(a)
+        assert count == expected_count
+        assert np.array_equal(labels, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=st.sampled_from([0.0, 0.0, 0.0, 1e-300, 0.7]))
+    ))
+    def test_random_patterns_match_union_find(self, x):
+        a = x + x.T
+        labels, count = components(a)
+        expected, expected_count = union_find_components(a)
+        assert count == expected_count
+        assert np.array_equal(labels, expected)
+
+    def test_connected_dense_matrix_reads_one_row(self):
+        # Every global-scale node: the first row reaches every point.
+        reads = []
+
+        class Rows(np.ndarray):
+            def __getitem__(self, key):
+                reads.append(np.size(key))
+                return np.asarray(self)[key]
+
+        a = (np.ones((500, 500)) - np.eye(500)).view(Rows)
+        labels, count = components(a)
+        assert count == 1 and not labels.any()
+        assert reads == [1]
+
+
+def permuted_blocks(sizes, seed=0):
+    """A symmetric matrix whose exact nonzero pattern is the given
+    components, each connected, with the points in a random order."""
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    a = block_pattern(labels, seed)
+    p = np.random.default_rng(seed).permutation(labels.size)
+    return np.ascontiguousarray(a[np.ix_(p, p)])
+
+
+def permuted_laplacian(seed=0):
+    """``nested_laplacian("local")``, two components, in a random order."""
+    lap = nested_laplacian("local")
+    p = np.random.default_rng(seed).permutation(lap.shape[0])
+    return np.ascontiguousarray(lap[np.ix_(p, p)])
+
+
+class TestPackBlocks:
+    @pytest.mark.parametrize("sizes", [(1, 1), (3, 1, 4), (300, 7, 520), (2,) * 20])
+    def test_blocks_are_packed_views_of_the_buffer(self, sizes):
+        a = permuted_blocks(sizes, seed=len(sizes))
+        original = a.copy()
+        labels, count = components(a)
+        members, blocks = pack_blocks(a, labels, count)
+        assert np.array_equal(np.concatenate(members), np.argsort(labels, kind="stable"))
+        offset = 0
+        for m, block in zip(members, blocks):
+            assert np.all(labels[m] == labels[m[0]]) and np.all(np.diff(m) > 0)
+            assert block.flags.c_contiguous
+            assert np.shares_memory(block, a)
+            assert block.__array_interface__["data"][0] == a.ctypes.data + 8 * offset
+            assert np.array_equal(block, original[np.ix_(m, m)])
+            offset += m.size**2
+
+
+class TestBlockSpectrum:
+    """A disconnected Laplacian, block by block, against the whole matrix
+    decomposed by eigh."""
+
+    def test_merged_values_match_whole_oracle(self):
+        lap = permuted_laplacian()
+        n = lap.shape[0]
+        oracle = symmetric_eigen(lap)
+        spec = laplacian_spectrum(lap.copy())
+        assert isinstance(spec, BlockSpectrum) and len(spec.blocks) == 2
+        assert np.all(np.diff(spec.values) <= 0)
+        tol = n * np.finfo(float).eps * np.max(np.abs(oracle.values))
+        assert np.max(np.abs(spec.values - oracle.values)) <= tol
+        assert eigengap_k(spec.values).k == eigengap_k(oracle.values).k
+        # One λ = 1 per component, in the order of their first members.
+        assert np.array_equal(spec.owner[:2], [0, 1])
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 7])
+    def test_top_spans_the_oracle_subspace(self, k):
+        lap = permuted_laplacian(seed=k)
+        n = lap.shape[0]
+        oracle = symmetric_eigen(lap)
+        tol = n * np.finfo(float).eps * np.max(np.abs(oracle.values))
+        assert oracle.values[k - 1] - oracle.values[k] > tol
+        spec = laplacian_spectrum(lap.copy())
+        x = spec.top(k)
+        p = oracle.vectors[:, :k]
+        assert np.linalg.norm(x - p @ (p.T @ x)) <= 1e-10
+        assert np.max(np.abs(x.T @ x - np.eye(k))) <= 1e-12
+        theta, residuals = ritz_residuals(lap, x)
+        assert np.max(np.abs(theta - oracle.values[:k])) <= 1e-12
+        assert np.max(residuals) <= 1e-10
+        # Each column lives on the rows of the block that owns it.
+        for b, members in enumerate(spec.members):
+            outside = np.setdiff1d(np.arange(n), members)
+            assert not x[np.ix_(outside, spec.owner[:k] == b)].any()
+
+    def test_columns_a_block_does_not_own_are_zero_on_its_rows(self):
+        spec = laplacian_spectrum(permuted_laplacian())
+        x = spec.top(1)
+        assert not x[spec.members[1]].any()
+        assert np.all(x[spec.members[0]] > 0)
+
+    def test_each_block_answers_its_own_cuts(self):
+        # Blocks of sizes 5 and 3 with spectra interleaved: the merged cuts
+        # 2..5 fall at each block's cuts 1..3 and 1..2.
+        a = with_spectrum([4.0, 2.0, 0.5, 0.0, -1.0])
+        b = with_spectrum([3.0, 1.0, -2.0], seed=1)
+        spec = BlockSpectrum.merge(
+            [np.array([0, 2, 4, 6, 7]), np.array([1, 3, 5])],
+            [symmetric_eigen(a), symmetric_eigen(b)],
+        )
+        assert np.allclose(spec.values, [4.0, 3.0, 2.0, 1.0, 0.5, 0.0, -1.0, -2.0], atol=1e-14)
+        assert np.array_equal(spec.owner, [0, 1, 0, 1, 0, 0, 0, 1])
+        blocks = [mock.Mock(wraps=block) for block in spec.blocks]
+        spec = BlockSpectrum(spec.values, spec.owner, spec.members, blocks)
+        x = spec.top(5, 2)
+        assert [block.top.call_args.args for block in blocks] == [(3, 1), (2, 1)]
+        assert np.array_equal(x[np.ix_([0, 2, 4, 6, 7], [0, 2, 4])], symmetric_eigen(a).top(3))
+        assert np.array_equal(x[np.ix_([1, 3, 5], [1, 3])], symmetric_eigen(b).top(2))
+        spec.top(5)
+        assert blocks[0].top.call_args.args == (3, None)
+
+    def test_numerically_equal_values_go_in_block_order(self):
+        # λ = 1 of the second block rounds above the first's.
+        one, above = 1.0, np.nextafter(1.0, 2.0)
+        blocks = [
+            symmetric_eigen(np.diag([one, 0.5])),
+            symmetric_eigen(np.diag([above, 0.25])),
+        ]
+        spec = BlockSpectrum.merge([np.array([0, 1]), np.array([2, 3])], blocks)
+        assert np.array_equal(spec.values, [above, one, 0.5, 0.25])
+        assert np.array_equal(spec.owner, [0, 1, 0, 1])
+
+    def test_k_out_of_range(self):
+        spec = laplacian_spectrum(permuted_laplacian())
+        for k in (0, spec.values.size + 1):
+            with pytest.raises(InvalidParameterError):
+                spec.top(k)
+
+    def test_connected_laplacian_takes_top_spectrum_unchanged(self):
+        lap = nested_laplacian("global")
+        spec = laplacian_spectrum(lap)
+        whole = top_spectrum(nested_laplacian("global"))
+        assert isinstance(spec, linalg.Spectrum) and spec.matrix is lap
+        assert np.array_equal(spec.values, whole.values)
+        assert np.array_equal(spec.top(3), whole.top(3))
 
 
 class TestCovariance:

@@ -13,8 +13,15 @@ from conftest import (
 )
 from iescluster.affinity import normalized_laplacian
 from iescluster.errors import DegenerateEmbeddingError, InvalidParameterError
-from iescluster.linalg import pairwise_distances
-from iescluster.njw import node_spectrum, njw_cluster, row_normalize, spectral_embed
+from iescluster.ies import els_cluster
+from iescluster.linalg import components, gram_distances, pairwise_distances
+from iescluster.njw import (
+    build_affinity,
+    node_spectrum,
+    njw_cluster,
+    row_normalize,
+    spectral_embed,
+)
 from iescluster.scaling import (
     ScalingEstimate,
     estimate_global_sigma,
@@ -42,8 +49,6 @@ class TestSpectralEmbed:
     def test_unit_row_norms(self, rng):
         data = rng.normal(0, 1, (12, 3))
         scaling = estimate_global_sigma(data)
-        from iescluster.njw import build_affinity
-
         lap = normalized_laplacian(build_affinity(pairwise_distances(data), scaling))
         for k in (1, 2, 5, 12):
             y = spectral_embed(lap, k)
@@ -128,9 +133,9 @@ class TestRowNormalize:
 
 class TestNodeSpectrum:
     """The chain runs in its input's buffer: on the tridiagonal path the
-    spectrum's matrix is the distance matrix that went in, dsytrd's
-    reflectors lie in that buffer too, and the call allocates well under
-    one more n x n."""
+    spectrum's matrix is the distance matrix that went in, or each of its
+    blocks a view of it, dsytrd's reflectors lie in that buffer too, and the
+    call allocates well under one more n x n."""
 
     @needs_library
     @pytest.mark.parametrize("local", [False, True])
@@ -146,6 +151,38 @@ class TestNodeSpectrum:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert spectrum.matrix is d
-        assert np.shares_memory(spectrum.tridiagonal[0], d)
+        # The global scale's root is connected; the local scale's has two
+        # components, 400 and 800 points.
+        if local:
+            assert sorted(m.size for m in spectrum.members) == [400, 800]
+        else:
+            assert spectrum.matrix is d
+        for block in getattr(spectrum, "blocks", [spectrum]):
+            assert np.shares_memory(block.matrix, d)
+            assert np.shares_memory(block.tridiagonal[0], d)
         assert peak <= 0.75 * 8 * n * n
+
+    @pytest.mark.parametrize("within", [False, True])
+    def test_partition_of_a_disconnected_node_ignores_row_order(self, within):
+        # 60 far points and 120 in two close subgroups: the local scale
+        # leaves the two apart, exactly.
+        x = nested_scale_dataset(n_per_group=60, seed=0).features
+        d = gram_distances(x)
+        labels, count = components(
+            normalized_laplacian(build_affinity(d.copy(), estimate_local_sigmas(x, d)))
+        )
+        assert count == 2
+        rng = np.random.default_rng(1)
+        if within:
+            # Each component's rows shuffled in place of one another.
+            p = np.arange(x.shape[0])
+            for c in range(count):
+                rows = np.flatnonzero(labels == c)
+                p[rows] = rng.permutation(rows)
+        else:
+            p = rng.permutation(x.shape[0])
+        out, shuffled = els_cluster(x), els_cluster(x[p])
+        assert out.n_clusters == 3
+        back = np.empty_like(shuffled.leaf_assignments)
+        back[p] = shuffled.leaf_assignments
+        assert partition_of(back) == partition_of(out.leaf_assignments)
