@@ -28,8 +28,8 @@ from .ies import (
     legacy_eigengap_cluster,
     njw_outcome,
 )
-from .kmeans import KMeansResult, kmeans, sse
-from .linalg import Spectrum, pairwise_distances, symmetric_eigen
+from .kmeans import KMeansResult, kmeans
+from .linalg import Spectrum
 from .njw import njw_cluster, spectral_embed
 from .scaling import ScalingEstimate, estimate_global_sigma, estimate_local_sigmas, manual_global_sigma
 from .synth import (

@@ -1,6 +1,7 @@
 """Gaussian affinity matrices and the symmetric normalized Laplacian, each
 built in its input's buffer: the affinities overwrite a node's distance
-matrix (``gram_distances(x)``, or the exact ``pairwise_distances(x)``) and
+matrix (``gram_distances(x)``, or the exact one, whose entry (i, j) is
+fl(sqrt(``linalg.pair_squared_distances(x, [i], [j])``))) and
 ``normalized_laplacian`` scales a float64 affinity in place."""
 
 from __future__ import annotations

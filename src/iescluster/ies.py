@@ -119,9 +119,9 @@ class ClusteringOutcome:
 
 def node_seed(master_seed: int, path: tuple) -> int:
     """Deterministic per-node seed from the master seed and the child-index
-    path to the node, so traversal order cannot change any result."""
-    entropy = int(master_seed) & ((1 << 64) - 1)
-    ss = np.random.SeedSequence(entropy=entropy, spawn_key=tuple(path))
+    path to the node, so traversal order cannot change any result. The
+    master seed is the entropy as it is: no two seeds are folded together."""
+    ss = np.random.SeedSequence(entropy=int(master_seed), spawn_key=tuple(path))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -200,8 +200,9 @@ def _build_tree(
     master_seed: int,
     process: Callable[[np.ndarray, tuple, np.ndarray, int], _NodeStep],
 ) -> ClusteringOutcome:
-    """Validate the data, grow its tree depth-first from a root over every
-    point, and return the timed outcome; every mode runs through here.
+    """Validate the data and the master seed, grow the data's tree
+    depth-first from a root over every point, and return the timed outcome;
+    every mode runs through here.
 
     ``process(x, path, members, depth)`` decides each node that is not
     already final, on the validated data ``x``. Each node takes the next id
@@ -209,6 +210,8 @@ def _build_tree(
     position order: the ids are the depth-first numbering over child
     positions, with no renumbering pass.
     """
+    if master_seed < 0:
+        raise InvalidParameterError(f"master_seed must be nonnegative, got {master_seed}")
     x = np.asarray(data, dtype=float)
     if x.size == 0:
         raise InvalidDataError("empty dataset")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, InvalidParameterError
+from .errors import InvalidParameterError
 from .linalg import _EPS, _SCALE_MAX, _SCALE_MIN, as_matrix
 
 _MAX_ITER = 300
@@ -60,26 +60,9 @@ class KMeansResult:
         return self.centroids.shape[0]
 
 
-def sse(data, assignments, centroids) -> float:
-    """Sum of squared Euclidean errors of points to their assigned centroids."""
-    x = as_matrix(data)
-    assign = np.asarray(assignments, dtype=int).ravel()
-    c = as_matrix(centroids)
-    if assign.shape[0] != x.shape[0]:
-        raise DimensionError(
-            f"assignments length {assign.shape[0]} != number of points {x.shape[0]}"
-        )
-    if c.shape[1] != x.shape[1]:
-        raise DimensionError(
-            f"centroid dimension {c.shape[1]} != data dimension {x.shape[1]}"
-        )
-    if assign.size and (assign.min() < 0 or assign.max() >= c.shape[0]):
-        raise DimensionError("assignment id outside centroid range")
-    return _sse(x, assign, c)
-
-
 def _sse(x: np.ndarray, assign: np.ndarray, centroids: np.ndarray) -> float:
-    """``sse`` without its checks, for data already validated."""
+    """Sum of squared Euclidean errors of the rows of ``x`` to their assigned
+    centroids, for data already validated."""
     return float(np.sum((x - centroids[assign]) ** 2))
 
 

@@ -6,20 +6,17 @@ in rows, features in columns.
 
 Symmetric eigensolves return a ``Spectrum``: every eigenvalue, descending,
 and ``top(k)`` for the eigenvectors of the k largest, each with its
-largest-magnitude entry positive. Two functions build one:
-
-- ``symmetric_eigen`` computes the full decomposition with ``np.linalg.eigh``
-  and keeps every vector. It is the reference and the fallback.
-- ``top_spectrum`` serves the spectral chain, which needs every eigenvalue
-  (for the eigengap) but only the top k eigenvectors (for the split), and
-  none when k = 1. Where numpy bundles an ILP64 OpenBLAS (its PyPI wheels;
-  see ``lapack``), it reduces the chain's own buffer, unchecked, in place
-  to tridiagonal form T = Qᵀ A Q (LAPACK ``dsytrd``), and takes every
-  eigenvalue of T (``dsterf``). ``top(k)`` then finds the k eigenvectors
-  of T by inverse iteration (``dstein``) and maps them back through Q
-  (``dormtr``). The buffer's lower triangle still holds A, and it is all
-  ``np.linalg.eigh`` reads: without that library, and at the fallbacks
-  ``Spectrum.top`` lists, it is ``symmetric_eigen`` without the checks.
+largest-magnitude entry positive. ``top_spectrum`` builds one for the
+spectral chain, which needs every eigenvalue (for the eigengap) but only the
+top k eigenvectors (for the split), and none when k = 1. Where numpy bundles
+an ILP64 OpenBLAS (its PyPI wheels; see ``lapack``), it reduces the chain's
+own buffer, unchecked, in place to tridiagonal form T = Qᵀ A Q (LAPACK
+``dsytrd``), and takes every eigenvalue of T (``dsterf``). ``top(k)`` then
+finds the k eigenvectors of T by inverse iteration (``dstein``) and maps
+them back through Q (``dormtr``). The buffer's lower triangle still holds A,
+and it is all ``np.linalg.eigh`` reads: without that library, and at the
+fallbacks ``Spectrum.top`` lists, ``_eigh`` decomposes it in full and keeps
+every vector.
 
 A matrix whose exact nonzero pattern falls into connected components is
 block-diagonal once its points are ordered by component, and its spectrum
@@ -36,11 +33,11 @@ Every spectral node takes its distance matrix from ``gram_distances``: the
 centered rows' products from BLAS, within a proven bound, with the
 difference form's bits wherever that bound cannot vouch for an entry. Its
 contract is one relative bound, ``gram_relative_error(m)``, that depends on
-nothing but the column count.
-``pairwise_distances`` is the exact form, a row-by-row difference loop
-whose every entry equals the per-pair formula bit for bit; it is the oracle
-in the tests. ``pair_squared_distances`` is its kernel for listed pairs:
-the entries ``gram_distances`` flags, and the candidates through which
+nothing but the column count. The difference form is
+``pair_squared_distances``, for listed pairs: the exact distance matrix of
+the rows of x, exactly symmetric with a zero diagonal, has entry (i, j)
+fl(sqrt(``pair_squared_distances(x, [i], [j])``)). It computes the entries
+``gram_distances`` flags, and the candidates through which
 ``scaling.estimate_local_sigmas`` certifies the k-th neighbour's distance
 against that bound, an order statistic that must keep the exact form's bits.
 """
@@ -100,10 +97,9 @@ class Spectrum:
 
         The caller uses the first j columns for every j in ``[k_min, k]``
         (default k alone). Stored vectors answer every cut as they are. The
-        tridiagonal form returns ``symmetric_eigen``'s vectors instead where
-        one of those cuts falls between two eigenvalues within
-        ``n * eps * max|λ|`` of each other, and where inverse iteration
-        fails to converge.
+        tridiagonal form returns ``_eigh``'s vectors instead where one of
+        those cuts falls between two eigenvalues within ``_tie_tolerance``
+        of each other, and where inverse iteration fails to converge.
         """
         n = self.values.shape[0]
         if not 1 <= k <= n:
@@ -124,13 +120,20 @@ class Spectrum:
         return _eigh(self.matrix).top(k)
 
 
+def _tie_tolerance(values: np.ndarray) -> float:
+    """``n * eps * max|λ|`` for the n eigenvalues ``values``: two closer than
+    this are numerically equal, to ``_tied_cut`` and ``BlockSpectrum.merge``
+    alike."""
+    return values.size * _EPS * np.max(np.abs(values))
+
+
 def _tied_cut(values: np.ndarray, k: int, k_min: int | None) -> bool:
     """Whether a cut j in ``[k_min, k]`` (default k alone) falls between two
-    eigenvalues within ``n * eps * max|λ|`` of each other."""
+    eigenvalues within ``_tie_tolerance`` of each other."""
     n = values.shape[0]
     cuts = np.arange(k if k_min is None else k_min, min(k, n - 1) + 1)
     gaps = values[cuts - 1] - values[cuts]
-    return bool(np.any(gaps <= n * np.finfo(float).eps * np.max(np.abs(values))))
+    return bool(np.any(gaps <= _tie_tolerance(values)))
 
 
 def _tridiagonal_top(tridiagonal: tuple, values: np.ndarray, k: int) -> np.ndarray | None:
@@ -144,7 +147,7 @@ def _tridiagonal_top(tridiagonal: tuple, values: np.ndarray, k: int) -> np.ndarr
     if z is None:
         return None
     vectors = lib.dormtr(reflectors, tau, np.asfortranarray(z[:, ::-1]))
-    # Row-major, as symmetric_eigen returns them and as the embedding code
+    # Row-major, as _eigh returns them and as the embedding code
     # reduces along rows.
     return _positive_peaks(np.ascontiguousarray(vectors))
 
@@ -187,21 +190,11 @@ def _symmetric(m) -> np.ndarray:
     return a
 
 
-def symmetric_eigen(m) -> Spectrum:
-    """Full eigendecomposition of a symmetric matrix, sorted descending.
-
-    Exactly symmetric input is decomposed as is, without a copy: averaging
-    it with its transpose would give back the same bits. Other input is
-    averaged first, and a symmetry defect above ``SYMMETRY_RTOL`` times the
-    largest entry magnitude is rejected. Each eigenvector is unit norm with
-    its largest-magnitude entry made positive, so identical input yields
-    identical output.
-    """
-    return _eigh(_symmetric(m))
-
-
 def _eigh(a: np.ndarray) -> Spectrum:
-    """``symmetric_eigen`` without the checks, from ``a``'s lower triangle."""
+    """Full eigendecomposition of a symmetric matrix from its lower triangle,
+    sorted descending. Each eigenvector is unit norm with its
+    largest-magnitude entry made positive, so identical input yields
+    identical output."""
     values, vectors = np.linalg.eigh(a)
     # eigh returns ascending order; flip to descending. For equal values the
     # solver's ordering is kept, which is deterministic for identical input.
@@ -312,8 +305,8 @@ class BlockSpectrum:
     """The spectrum of a permuted block-diagonal matrix from its blocks':
     ``values`` is the union of theirs, descending, and ``owner[i]`` is the
     block that the i-th eigenvector comes from; block b spans the rows
-    ``members[b]``. Numerically equal values (within ``n * eps * max|λ|``
-    of the one before, the tolerance of ``_tied_cut``) go in block order,
+    ``members[b]``. Numerically equal values (within ``_tie_tolerance`` of
+    the one before, as ``_tied_cut`` reads them) go in block order,
     so the order of the blocks' λ = 1 does not hang on their last bits."""
 
     values: np.ndarray
@@ -327,7 +320,7 @@ class BlockSpectrum:
         owner = np.repeat(np.arange(len(blocks)), [b.values.size for b in blocks])
         order = np.argsort(-values, kind="stable")
         values, owner = values[order], owner[order]
-        tol = values.size * _EPS * np.max(np.abs(values))
+        tol = _tie_tolerance(values)
         runs = np.concatenate(([0], np.cumsum(values[:-1] - values[1:] > tol)))
         # Stable sorts keep each block's own order within a run.
         return cls(values, owner[np.lexsort((owner, runs))], members, blocks)
@@ -373,40 +366,16 @@ def covariance_eigenvalues(x: np.ndarray) -> np.ndarray:
     return np.maximum(values, 0.0, out=values)
 
 
-def pairwise_distances(data) -> np.ndarray:
-    """Exact Euclidean distance matrix, computed row-by-row from differences.
-
-    Only the upper triangle is computed: row i takes the differences
-    ``x[j] - x[i]`` for j > i, and each row is mirrored into its column, with
-    zeros on the diagonal. The matrix is therefore exactly symmetric, and
-    every entry equals the per-pair ``sqrt(sum((x[i] - x[j]) ** 2))`` bit for
-    bit, because negating a difference does not change its square.
-    Differences (rather than the expanded inner-product form) keep the result
-    translation-stable and bit-reproducible against that per-pair reference.
-    """
-    x = as_matrix(data)
-    n = x.shape[0]
-    out = np.empty((n, n))
-    diff = np.empty((max(n - 1, 0), x.shape[1]))
-    with np.errstate(over="ignore"):  # inf: affinity 0, or a rejected local sigma
-        for i in range(n):
-            rest = np.subtract(x[i + 1 :], x[i], out=diff[: n - 1 - i])
-            np.multiply(rest, rest, out=rest)
-            row = np.sqrt(np.sum(rest, axis=1), out=out[i, i + 1 :])
-            out[i + 1 :, i] = row
-    np.fill_diagonal(out, 0.0)
-    return out
-
-
 def pair_squared_distances(x: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """``pairwise_distances``'s entry (i, j) before its sqrt, bit for bit, for
-    each listed pair (i, j) = (rows[p], cols[p]) of the rows of ``x``.
+    """The exact squared distance of each listed pair (i, j) =
+    (rows[p], cols[p]) of the rows of ``x``, in the difference form.
 
-    Each pair takes the difference form ``x[j] - x[i]``, squared and summed
-    along the row, as that function does; for j < i it formed
-    ``x[i] - x[j]``, whose negation squares to the same bits. The pairs are
-    gathered ``_PAIR_ELEMENTS`` differences at a time, so no temporary
-    grows with their count. Overflow gives inf quietly.
+    Each pair takes ``x[j] - x[i]``, squared and summed along the row. The
+    negation ``x[i] - x[j]`` squares to the same bits, so the pairs (i, j)
+    and (j, i) give the same value: the exact distance matrix, entry (i, j)
+    fl(sqrt(q)), is exactly symmetric, with zeros on its diagonal. The
+    pairs are gathered ``_PAIR_ELEMENTS`` differences at a time, so no
+    temporary grows with their count. Overflow gives inf quietly.
     """
     out = np.empty(rows.shape[0])
     step = max(1, _PAIR_ELEMENTS // x.shape[1])
@@ -430,7 +399,8 @@ def gram_relative_error(m: int) -> float:
 
 def gram_distances(data) -> np.ndarray:
     """Euclidean distance matrix from one matrix product of the centered rows,
-    with ``pairwise_distances``'s bits wherever that product cannot be trusted.
+    with the difference form's bits, fl(sqrt(``pair_squared_distances``)),
+    wherever that product cannot be trusted.
 
     With c = fl(x - mean) and s_i = |c_i|^2, each entry is first formed as
     r = (s_i + s_j) - 2 c_i.c_j, the dot products from one GEMM per block of
@@ -452,8 +422,8 @@ def gram_distances(data) -> np.ndarray:
 
     Fallback. An entry whose S is above max/4 (the only way r can overflow)
     or whose r is not above ``_GRAM_TAU`` * M (a NaN is not) is recomputed
-    in the difference form by ``pair_squared_distances``, and so equals
-    ``pairwise_distances``' entry bit for bit.
+    in the difference form by ``pair_squared_distances``, and so equals the
+    exact matrix's entry bit for bit.
     That covers every pair of duplicate rows (r <= (m + 4) eps M < tau M,
     so they read exactly 0) and every entry that overflows there (which
     needs S > max/4).
@@ -476,7 +446,7 @@ def gram_distances(data) -> np.ndarray:
     n = x.shape[0]
     out = np.empty((n, n))
     # inf and NaN in the Gram form only flag entries; the difference form
-    # overflows quietly, as in pairwise_distances.
+    # overflows quietly, as in pair_squared_distances.
     with np.errstate(over="ignore", invalid="ignore"):
         c = x - x.mean(axis=0)
         sq = np.einsum("ij,ij->i", c, c)

@@ -4,8 +4,9 @@ Two schemes: a PCA-based global sigma^2 (weighted mean of major principal-axis
 variances, axes chosen to cover a cumulative explained-variance threshold) and
 a per-point local sigma (distance to the k-th nearest neighbor), read from the
 node's ``gram_distances`` matrix before the affinity overwrites it and
-certified against the points, so it keeps the exact ``pairwise_distances``
-matrix's bits. The certificate rests on ``gram_distances``' relative bound,
+certified against the points, so it keeps the bits of the exact distance
+matrix, whose entry (i, j) is fl(sqrt(``linalg.pair_squared_distances(x,
+[i], [j])``)). The certificate rests on ``gram_distances``' relative bound,
 ``linalg.gram_relative_error(m)``, and needs nothing else from the data.
 
 The variance along principal axis i is the i-th covariance eigenvalue, and no
@@ -109,9 +110,10 @@ def estimate_global_sigma(data, variance_threshold: float = 0.95) -> ScalingEsti
 
 def estimate_local_sigmas(data, distances, k: int = 7) -> ScalingEstimate:
     """Per-point local sigma: Euclidean distance to the k-th nearest neighbor,
-    bit for bit the row's order statistic in ``pairwise_distances(data)``,
-    read from ``distances = gram_distances(data)`` (or the exact matrix
-    itself), which is not modified.
+    bit for bit the row's order statistic in the exact distance matrix,
+    entry (i, j) fl(sqrt(``pair_squared_distances(data, [i], [j])``)), read
+    from ``distances = gram_distances(data)`` (or the exact matrix itself),
+    which is not modified.
 
     k is clipped to n-1 so small subsets still get a defined scale. Duplicated
     points can yield sigma 0; the affinity construction handles that case.

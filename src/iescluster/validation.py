@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InvalidParameterError
-from .kmeans import cluster_means, kmeans
-from .kmeans import sse as sse_of
+from .kmeans import _sse, cluster_means, kmeans
 from .linalg import as_matrix, gram_distances
 from .njw import node_spectrum, row_normalize
 from .scaling import ScalingEstimate
@@ -200,6 +199,7 @@ def elbow_sweep(
             value = km.sse
         else:
             centroids = cluster_means(x, km.assignments, np.bincount(km.assignments))
-            value = sse_of(x, km.assignments, centroids)
+            # A cluster whose column sum overflows is rejected, not scored inf.
+            value = _sse(x, km.assignments, as_matrix(centroids))
         curve.append((k, float(value)))
     return curve

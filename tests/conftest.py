@@ -1,4 +1,5 @@
-"""Shared builders for the test suite."""
+"""Shared builders for the test suite, and the reference implementations
+the library's fast paths are compared against."""
 
 from dataclasses import dataclass
 from itertools import permutations
@@ -6,9 +7,9 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from iescluster import lapack
+from iescluster import lapack, linalg
 from iescluster.errors import DegenerateDataError, InsufficientDataError
-from iescluster.linalg import as_matrix, symmetric_eigen
+from iescluster.linalg import as_matrix
 
 needs_library = pytest.mark.skipif(
     lapack.library() is None, reason="numpy bundles no ILP64 OpenBLAS"
@@ -138,3 +139,50 @@ def pca(data) -> PcaResult:
     if total <= 0.0:
         raise DegenerateDataError("data has zero total variance")
     return PcaResult(axes=axes, projected=projected, variances=variances, weights=variances / total)
+
+
+def symmetric_eigen(m):
+    """Full eigendecomposition of a symmetric matrix, sorted descending.
+
+    Exactly symmetric input is decomposed as is, without a copy: averaging
+    it with its transpose would give back the same bits. Other input is
+    averaged first, and a symmetry defect above ``linalg.SYMMETRY_RTOL``
+    times the largest entry magnitude is rejected. Each eigenvector is unit
+    norm with its largest-magnitude entry made positive, so identical input
+    yields identical output.
+    """
+    return linalg._eigh(linalg._symmetric(m))
+
+
+def pairwise_distances(data) -> np.ndarray:
+    """Exact Euclidean distance matrix, computed row-by-row from differences.
+
+    Only the upper triangle is computed: row i takes the differences
+    ``x[j] - x[i]`` for j > i, and each row is mirrored into its column, with
+    zeros on the diagonal. The matrix is therefore exactly symmetric, and
+    every entry equals the per-pair ``sqrt(sum((x[i] - x[j]) ** 2))`` bit for
+    bit, because negating a difference does not change its square.
+    Differences (rather than the expanded inner-product form) keep the result
+    translation-stable and bit-reproducible against that per-pair reference.
+    """
+    x = as_matrix(data)
+    n = x.shape[0]
+    out = np.empty((n, n))
+    diff = np.empty((max(n - 1, 0), x.shape[1]))
+    with np.errstate(over="ignore"):  # inf: affinity 0, or a rejected local sigma
+        for i in range(n):
+            rest = np.subtract(x[i + 1 :], x[i], out=diff[: n - 1 - i])
+            np.multiply(rest, rest, out=rest)
+            row = np.sqrt(np.sum(rest, axis=1), out=out[i, i + 1 :])
+            out[i + 1 :, i] = row
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def sse(data, assignments, centroids) -> float:
+    """Sum of squared Euclidean errors of points to their assigned centroids:
+    the reference for the SSE of ``kmeans`` and of the raw-space elbow."""
+    x = as_matrix(data)
+    assign = np.asarray(assignments, dtype=int).ravel()
+    c = as_matrix(centroids)
+    return float(np.sum((x - c[assign]) ** 2))

@@ -15,13 +15,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import block_labels, ideal_block_affinity, partition_of
+from conftest import block_labels, ideal_block_affinity, partition_of, symmetric_eigen
 from iescluster.affinity import normalized_laplacian
 from iescluster.dataset import load_dataset
 from iescluster.eigengap import eigengap_k
 from iescluster.ies import els_cluster, ies_cluster, legacy_eigengap_cluster
 from iescluster.kmeans import kmeans
-from iescluster.linalg import gram_distances, symmetric_eigen
+from iescluster.linalg import gram_distances
 from iescluster.njw import njw_cluster
 from iescluster.scaling import (
     estimate_global_sigma,

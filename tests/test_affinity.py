@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import ideal_block_affinity
+from conftest import ideal_block_affinity, pairwise_distances, symmetric_eigen
 from iescluster.affinity import affinity_global, affinity_local, normalized_laplacian
 from iescluster.errors import (
     DimensionError,
     InvalidParameterError,
     IsolatedPointsError,
 )
-from iescluster.linalg import gram_distances, pairwise_distances, symmetric_eigen
+from iescluster.linalg import gram_distances
 from iescluster.njw import build_affinity
 from iescluster.scaling import estimate_global_sigma, estimate_local_sigmas
 

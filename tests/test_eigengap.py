@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ideal_block_affinity
+from conftest import ideal_block_affinity, symmetric_eigen
 from iescluster.affinity import normalized_laplacian
 from iescluster.eigengap import eigengap_k
 from iescluster.errors import (
@@ -11,7 +11,6 @@ from iescluster.errors import (
     InvalidDataError,
     InvalidParameterError,
 )
-from iescluster.linalg import symmetric_eigen
 
 
 def descending_spectra(min_n=2, max_n=20):

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import needs_library, partition_of, separated_blobs
+from conftest import (
+    needs_library,
+    pairwise_distances,
+    partition_of,
+    separated_blobs,
+    symmetric_eigen,
+)
 import iescluster.ies as ies_module
 import iescluster.njw as njw_module
 import iescluster.validation as validation_module
@@ -188,6 +194,30 @@ class TestIesTree:
         assert node_seed(0, ()) == node_seed(0, ())
         assert node_seed(0, (0,)) != node_seed(0, (1,))
         assert node_seed(0, (0,)) != node_seed(1, (0,))
+
+    def test_master_seed_is_not_folded_modulo_2_64(self):
+        # Seeds in [0, 2**64) keep their bits; no larger seed aliases one.
+        assert node_seed(5, ()) == int(np.random.SeedSequence(5).generate_state(1, np.uint64)[0])
+        assert node_seed(2**64 + 5, ()) != node_seed(5, ())
+        assert node_seed(2**64 + 5, (1,)) != node_seed(5, (1,))
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda x, s: ies_cluster(x, "global", master_seed=s),
+            lambda x, s: ies_cluster(x, "local", master_seed=s),
+            lambda x, s: els_cluster(x, master_seed=s),
+            lambda x, s: legacy_eigengap_cluster(x, master_seed=s),
+            lambda x, s: njw_outcome(x, 2, master_seed=s),
+        ],
+        ids=["ies-global", "ies-local", "els", "legacy", "njw"],
+    )
+    def test_negative_master_seed_rejected(self, run):
+        # As the CLI's --seed and kmeans' seed are: -1 no longer runs as
+        # 2**64 - 1.
+        data, _ = separated_blobs((12, 14), seed=3)
+        with pytest.raises(InvalidParameterError, match="master_seed"):
+            run(data, -1)
 
 
 class TestSingleRoundModes:
@@ -393,7 +423,7 @@ def distance_calls(monkeypatch):
         return counted
 
     wrappers = {
-        id(f): counting(f) for f in (linalg.pairwise_distances, linalg.gram_distances)
+        id(f): counting(f) for f in (pairwise_distances, linalg.gram_distances)
     }
     for name, module in list(sys.modules.items()):
         if name == "iescluster" or name.startswith("iescluster."):
@@ -504,7 +534,7 @@ class TestSpectrumPath:
         data, _ = separated_blobs([60] * 3, separation=10.0, spread=1.0, dims=3, seed=1)
         monkeypatch.setattr(lapack, "library", lambda: None)
         blocked = spectral_results(data)
-        monkeypatch.setattr(njw_module, "top_spectrum", linalg.symmetric_eigen)
+        monkeypatch.setattr(njw_module, "top_spectrum", symmetric_eigen)
         assert spectral_results(data) == blocked
 
 
@@ -557,7 +587,7 @@ class TestTreeOracle:
 
         # Every block of a disconnected node goes through top_spectrum too;
         # the tie is read from the node's whole spectrum, the blocks' merged.
-        with mock.patch.object(njw_module, "top_spectrum", linalg.symmetric_eigen), \
+        with mock.patch.object(njw_module, "top_spectrum", symmetric_eigen), \
                 mock.patch.object(ies_module, "node_spectrum", recorded):
             reference = ies_cluster(data, mode, master_seed=0)
         same = partition_of(shipped.leaf_assignments) == partition_of(reference.leaf_assignments)
@@ -603,14 +633,14 @@ def exact_distances():
     with contextlib.ExitStack() as stack:
         for module in (ies_module, njw_module, validation_module):
             stack.enter_context(
-                mock.patch.object(module, "gram_distances", linalg.pairwise_distances)
+                mock.patch.object(module, "gram_distances", pairwise_distances)
             )
         yield
 
 
 def exact_local_sigmas(data, distances, k):
     """Local sigmas taken from the exact matrix's rows, ignoring ``distances``."""
-    dist = linalg.pairwise_distances(data)
+    dist = pairwise_distances(data)
     k_eff = min(k, dist.shape[0] - 1)
     return ScalingEstimate(kind="local", local_sigmas=np.partition(dist, k_eff, axis=1)[:, k_eff])
 

@@ -28,8 +28,6 @@ from iescluster.linalg import (
     components,
     covariance_eigenvalues,
     pack_blocks,
-    pairwise_distances,
-    symmetric_eigen,
     top_spectrum,
 )
 from iescluster.njw import build_affinity, laplacian_spectrum, spectral_embed
@@ -44,8 +42,10 @@ from conftest import (
     covariance,
     ideal_block_affinity,
     needs_library,
+    pairwise_distances,
     pca,
     separated_blobs,
+    symmetric_eigen,
     tau_edge_ring,
 )
 

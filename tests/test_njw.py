@@ -8,13 +8,14 @@ from conftest import (
     block_labels,
     ideal_block_affinity,
     needs_library,
+    pairwise_distances,
     partition_of,
     separated_blobs,
 )
 from iescluster.affinity import normalized_laplacian
 from iescluster.errors import DegenerateEmbeddingError, InvalidParameterError
 from iescluster.ies import els_cluster
-from iescluster.linalg import components, gram_distances, pairwise_distances
+from iescluster.linalg import components, gram_distances
 from iescluster.njw import (
     build_affinity,
     node_spectrum,

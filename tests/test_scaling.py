@@ -16,14 +16,14 @@ from iescluster.errors import (
 )
 from iescluster import linalg
 from iescluster import scaling as scaling_module
-from iescluster.linalg import gram_distances, pairwise_distances
+from iescluster.linalg import gram_distances
 from iescluster.scaling import (
     estimate_global_sigma,
     estimate_local_sigmas,
     manual_global_sigma,
 )
 
-from conftest import pca, tau_edge_ring
+from conftest import pairwise_distances, pca, tau_edge_ring
 
 
 def two_column_data(var1, var2):
@@ -155,7 +155,7 @@ def projection_sigma_oracle(data, threshold=0.95):
 def no_full_eigensolve():
     """Make any full eigendecomposition fail the test."""
     stack = contextlib.ExitStack()
-    for owner, name in ((linalg, "symmetric_eigen"), (np.linalg, "eigh")):
+    for owner, name in ((linalg, "_eigh"), (np.linalg, "eigh")):
         stack.enter_context(
             mock.patch.object(owner, name, side_effect=AssertionError(f"{name} called"))
         )

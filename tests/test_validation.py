@@ -6,13 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import separated_blobs
+from conftest import separated_blobs, sse
 from iescluster.affinity import normalized_laplacian
-from iescluster.errors import DimensionError, InvalidParameterError
+from iescluster.errors import DimensionError, InvalidDataError, InvalidParameterError
 from iescluster.kmeans import kmeans
 from iescluster.linalg import gram_distances
 from iescluster.njw import build_affinity, spectral_embed
-from iescluster.scaling import estimate_global_sigma
+from iescluster.scaling import estimate_global_sigma, manual_global_sigma
 from iescluster.validation import (
     AssociationMatrix,
     ConfusionMatrix,
@@ -253,6 +253,26 @@ class TestElbowSweep:
             elbow_sweep(data, (2, 4), estimate_global_sigma(data), seed=0, space="raw")
         )
         assert curve[3] / curve[2] < 0.2
+
+    def test_raw_space_equals_sse_oracle(self):
+        # Each k's value is the oracle's SSE of the data about the per-cluster
+        # means of the embedding's k-means partition, bit for bit.
+        data, _ = separated_blobs((10, 12, 9), separation=20.0, spread=2.0, seed=4)
+        scaling = estimate_global_sigma(data)
+        lap = normalized_laplacian(build_affinity(gram_distances(data), scaling))
+        expected = []
+        for k in range(1, 5):
+            assign = kmeans(spectral_embed(lap, k), k, 7).assignments
+            means = np.array([data[assign == c].mean(axis=0) for c in range(assign.max() + 1)])
+            expected.append((k, sse(data, assign, means)))
+        assert elbow_sweep(data, (1, 4), scaling, 7, space="raw") == expected
+
+    def test_raw_space_rejects_overflowing_cluster_mean(self):
+        # Twenty copies of 1.7e308 sum to inf: the curve holds no inf SSE.
+        noise = np.random.default_rng(0).normal(0, 1, (20, 2))
+        data = np.vstack([np.full((20, 2), 1.7e308), noise])
+        with pytest.raises(InvalidDataError):
+            elbow_sweep(data, (2, 3), manual_global_sigma(1.0), seed=0, space="raw")
 
     def test_deterministic(self, rng):
         data = rng.normal(0, 1, (15, 3))
